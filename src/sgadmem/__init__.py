@@ -24,7 +24,7 @@ from .linalg import (
     tensor,
     trace_norm,
 )
-from .sdp import SdpProblem, SdpSolution, solve, write_sdpa
+from .sdp import SdpProblem, SdpSolution, solve
 from .states import (
     FAMILIES,
     StateValidationError,

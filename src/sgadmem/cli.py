@@ -107,9 +107,9 @@ def _state_from_args(args):
     return make_noisy(family, beta=beta)
 
 
-def _measure_row(rho):
+def _measure_row(rho, tol):
     """gmn + negativities + worst antidiagonal margin for one state."""
-    report = gmn(rho)
+    report = gmn(rho, tol=tol)
     margin = max(xstate_criterion(rho, pair).margin for pair in XSTATE_PAIRS)
     negs = report.negativities
     return (report.value, negs["A|BC"], negs["B|AC"], negs["C|AB"], margin,
@@ -204,7 +204,7 @@ def _run_evolve(args):
             continue
         trace_dev = abs(float(np.trace(rho).real) - 1.0)
         min_eig = float(hermitian_eigenvalues(rho)[0])
-        vals = _measure_row(rho)
+        vals = _measure_row(rho, args.tol)
         solver_trouble = solver_trouble or vals[-1] != "optimal"
         rows.append((t, *vals[:-1], trace_dev, min_eig, vals[-1]))
     _emit(EVOLVE_COLUMNS, rows, args.out, args.format)
@@ -214,14 +214,14 @@ def _run_evolve(args):
 # -- asymptotic sweep ------------------------------------------------------
 
 def _sweep_point(task):
-    family, param, n, mu = task
+    family, param, n, mu, tol = task
     try:
         if family.startswith("ghz"):
             rho0 = make_pure(family) if param == 1.0 else make_noisy(family, alpha=param)
         else:
             rho0 = make_pure(family) if param == 0.0 else make_noisy(family, beta=param)
         rho = asymptotic_state(rho0, SgadParams(1.0, n, 0.0), mu)
-        vals = _measure_row(rho)
+        vals = _measure_row(rho, tol)
     except (CpViolationError, StateValidationError, ValueError) as exc:
         return (family, param, n, mu, None, None, None, None, None,
                 f"error({exc.__class__.__name__})")
@@ -237,7 +237,7 @@ def _run_asymptotic(args):
     else:
         weights = args.beta if args.beta else [0.0]
     mus = _grid(args.grid) if args.grid else (args.mu if args.mu else _grid("0:1:0.01"))
-    tasks = [(family, w, n, mu) for w in weights for n in args.n for mu in mus]
+    tasks = [(family, w, n, mu, args.tol) for w in weights for n in args.n for mu in mus]
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, tasks, chunksize=8))
@@ -289,7 +289,8 @@ def _run_scan(args):
     else:
         print(f"no gmn threshold in [{lo}, {hi}]: "
               f"gmn({lo}) = {result.lo_value:.3e}, gmn({hi}) = {result.hi_value:.3e}")
-    return 0
+    print(f"status = {result.status}")
+    return 0 if result.status == "optimal" else 3
 
 
 def build_parser():

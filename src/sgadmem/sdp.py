@@ -1,61 +1,70 @@
 """Small dense semidefinite-programming solver.
 
-Standard form over real symmetric block-diagonal variables:
+Standard form over Hermitian block-diagonal variables:
 
     minimize    sum_b tr(C_b X_b)
-    subject to  sum_b tr(A_{i,b} X_b) = b_i   (i = 1..m),   X_b >= 0.
+    subject to  sum_b tr(A_{i,b} X_b) = b_i   (i = 1..m),   X_b >= 0,
+
+with the dual (linear matrix inequality) side
+
+    maximize    b^T y
+    subject to  S_b = C_b - sum_i y_i A_{i,b} >= 0.
+
+Blocks may be complex Hermitian or real symmetric: every product, trace
+and eigensolve uses conjugate transposes, so real problems run the same
+code and complex ones need no real embedding.
 
 Solved with a primal-dual interior-point method: Nesterov-Todd scaling,
 Mehrotra predictor-corrector, dense Cholesky of the Schur complement,
 0.98 step to the boundary, and a pure centering step (sigma = 1, no
-Mehrotra term) whenever the centrality min_b lambda_min(L_b^T S_b L_b) / mu
-(X_b = L_b L_b^T, mu = tr(XS) / sum_b d_b) drops below the fixed constant
+Mehrotra term) whenever the centrality min_b lambda_min(L_b^H S_b L_b) / mu
+(X_b = L_b L_b^H, mu = tr(XS) / sum_b d_b) drops below the fixed constant
 CENTRALITY_MIN. Without that fallback an iterate that drifts off the
 central path drives the NT scaling and the Schur complement towards
 singularity, after which rounding (for instance the BLAS thread count)
-decides whether the solve converges. Complex Hermitian problems enter
-through their real symmetric embedding (the witness module does that
-translation).
+decides whether the solve converges.
 
-Problem sizes here are tiny (a dozen 16x16 blocks, a few hundred rows), so
-everything is dense and the Schur complement is rebuilt every iteration.
+Problem sizes here are tiny: the witness program passes twelve 8x8
+Hermitian blocks and 256 rows together with a strictly feasible start in
+closed form. Everything is dense and the Schur complement is rebuilt every
+iteration. Rows are not screened, so they must be linearly independent
+(the Schur complement of dependent rows is singular).
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SYM_TOL = 1e-10
-DEP_TOL = 1e-9
 CENTRALITY_MIN = 1e-2
 
 
+def _h(a):
+    # conjugate transpose of the last two axes
+    return np.swapaxes(a, -1, -2).conj()
+
+
 def _sym(a):
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + _h(a))
 
 
 class SdpProblem:
     """Validated standard-form problem.
 
     block_dims: list of block sizes.
-    C: list of per-block symmetric cost matrices.
-    A: list (per block) of arrays with shape (m, d_b, d_b).
-    b: right-hand side vector (m,).
+    C: list of per-block Hermitian cost matrices.
+    A: list (per block) of arrays with shape (m, d_b, d_b), each slice Hermitian.
+    b: real right-hand side vector (m,).
 
-    Construction checks symmetry of every coefficient matrix and screens the
-    constraint rows for linear dependence (Gram-Schmidt over the concatenated
-    block vectorization); dependent rows are dropped with a warning.
+    Construction checks the shapes and the Hermiticity of every coefficient
+    matrix.
     """
 
-    def __init__(self, block_dims, C, A, b, _skip_checks=False):
+    def __init__(self, block_dims, C, A, b):
         self.block_dims = list(block_dims)
-        self.C = [np.asarray(c, dtype=float) for c in C]
-        self.A = [np.asarray(a, dtype=float) for a in A]
+        self.C = [np.asarray(c) for c in C]
+        self.A = [np.asarray(a) for a in A]
         self.b = np.asarray(b, dtype=float).copy()
-        self.dropped_rows = 0
-        if _skip_checks:
-            return
         if len(self.C) != len(self.block_dims) or len(self.A) != len(self.block_dims):
             raise ValueError("C and A must have one entry per block")
         m = self.b.size
@@ -64,58 +73,18 @@ class SdpProblem:
                 raise ValueError(f"objective block shape {c.shape} != ({d},{d})")
             if a.shape != (m, d, d):
                 raise ValueError(f"constraint block shape {a.shape} != ({m},{d},{d})")
-            if np.abs(c - c.T).max() > SYM_TOL:
-                raise ValueError("objective block is not symmetric")
-            if m and np.abs(a - a.transpose(0, 2, 1)).max() > SYM_TOL:
-                raise ValueError("constraint coefficient block is not symmetric")
-        self._drop_dependent_rows()
-
-    def _row_matrix(self):
-        return np.hstack([a.reshape(self.b.size, -1) for a in self.A])
-
-    def _drop_dependent_rows(self):
-        rows = self._row_matrix()
-        m = rows.shape[0]
-        keep = []
-        basis = np.empty_like(rows)
-        k = 0
-        for i in range(m):
-            v = rows[i].copy()
-            nrm0 = np.linalg.norm(v)
-            if nrm0 == 0.0:
-                continue
-            for _ in range(2):  # one re-orthogonalization pass for stability
-                if k:
-                    v -= basis[:k].T @ (basis[:k] @ v)
-            nrm = np.linalg.norm(v)
-            if nrm <= DEP_TOL * nrm0:
-                continue
-            basis[k] = v / nrm
-            k += 1
-            keep.append(i)
-        dropped = m - len(keep)
-        if dropped:
-            warnings.warn(f"dropped {dropped} linearly dependent constraint rows", UserWarning)
-            self.A = [a[keep] for a in self.A]
-            self.b = self.b[keep]
-        self.dropped_rows = dropped
-
-    def with_objective(self, C):
-        """Same constraints, new objective. Skips the (expensive) row screen."""
-        C = [np.asarray(c, dtype=float) for c in C]
-        for d, c in zip(self.block_dims, C):
-            if c.shape != (d, d) or np.abs(c - c.T).max() > SYM_TOL:
-                raise ValueError("objective block is not symmetric or mis-sized")
-        out = SdpProblem(self.block_dims, C, self.A, self.b, _skip_checks=True)
-        out.dropped_rows = self.dropped_rows
-        return out
+            if np.abs(c - _h(c)).max() > SYM_TOL:
+                raise ValueError("objective block is not Hermitian")
+            if m and np.abs(a - _h(a)).max() > SYM_TOL:
+                raise ValueError("constraint coefficient block is not Hermitian")
 
     # -- operator A and its adjoint ------------------------------------
 
     def apply(self, X):
+        # tr(A_i X) = sum conj(A_i) * X for Hermitian A_i
         out = np.zeros(self.b.size)
         for a, x in zip(self.A, X):
-            out += a.reshape(self.b.size, -1) @ x.ravel()
+            out += (a.reshape(self.b.size, -1).conj() @ x.ravel()).real
         return out
 
     def adjoint(self, y):
@@ -134,33 +103,31 @@ class SdpSolution:
     status: str
     iterations: int
     history: list = field(default_factory=list)
-    dropped_rows: int = 0
 
 
 def _tr2(a, b):
-    # trace inner product of symmetric matrices
-    return float(np.sum(a * b))
+    # trace inner product tr(ab) of Hermitian matrices
+    return float(np.sum(a.conj() * b).real)
 
 
 def _nt_scaling(X, S):
     """Nesterov-Todd scaling point W (W S W = X) plus S^{-1}, via eigensolves."""
     s, U = np.linalg.eigh(S)
     s = np.maximum(s, 1e-300)
-    sq = U * np.sqrt(s)
-    isq = U / np.sqrt(s)
-    Shalf = sq @ U.T
-    Sinvhalf = isq @ U.T
+    Uh = _h(U)
+    Shalf = (U * np.sqrt(s)) @ Uh
+    Sinvhalf = (U / np.sqrt(s)) @ Uh
     T = _sym(Shalf @ X @ Shalf)
     t, V = np.linalg.eigh(T)
     t = np.maximum(t, 1e-300)
-    Thalf = (V * np.sqrt(t)) @ V.T
+    Thalf = (V * np.sqrt(t)) @ _h(V)
     W = _sym(Sinvhalf @ Thalf @ Sinvhalf)
-    Sinv = (U / s) @ U.T
+    Sinv = (U / s) @ Uh
     return W, _sym(Sinv)
 
 
 def _centrality(X, S, mu):
-    """min_b lambda_min(L_b^T S_b L_b) / mu, where X_b = L_b L_b^T.
+    """min_b lambda_min(L_b^H S_b L_b) / mu, where X_b = L_b L_b^H.
 
     Equals 1 on the central path and falls towards 0 as some product X_b S_b
     develops an eigenvalue far below the mean mu. An X_b without a Cholesky
@@ -172,7 +139,7 @@ def _centrality(X, S, mu):
             L = np.linalg.cholesky(x)
         except np.linalg.LinAlgError:
             return 0.0
-        lam = min(lam, np.linalg.eigvalsh(L.T @ s @ L)[0])
+        lam = min(lam, np.linalg.eigvalsh(_h(L) @ s @ L)[0])
     return lam / mu
 
 
@@ -181,9 +148,9 @@ def _max_step(V, D):
     try:
         L = np.linalg.cholesky(V)
     except np.linalg.LinAlgError:
-        L = np.linalg.cholesky(V + 1e-12 * np.trace(V) / V.shape[0] * np.eye(V.shape[0]))
+        L = np.linalg.cholesky(V + 1e-12 * np.trace(V).real / V.shape[0] * np.eye(V.shape[0]))
     Y = np.linalg.solve(L, D)
-    G = _sym(np.linalg.solve(L, Y.T).T)
+    G = _sym(np.linalg.solve(L, _h(Y)))  # L^{-1} D L^{-H}
     lam = np.linalg.eigvalsh(G)[0]
     if lam >= 0.0:
         return np.inf
@@ -199,7 +166,7 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
     non-optimal exits still return the last iterate.
 
     Every iteration steps 0.98 of the way to the boundary of the cone. When
-    the centrality min_b lambda_min(L_b^T S_b L_b) / mu (X_b = L_b L_b^T)
+    the centrality min_b lambda_min(L_b^H S_b L_b) / mu (X_b = L_b L_b^H)
     is below the module constant CENTRALITY_MIN, the step is a pure
     centering step (sigma = 1, no Mehrotra term) that pulls the iterate
     back towards the central path before the gap is reduced further;
@@ -211,7 +178,7 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
     m = problem.b.size
     total_dim = sum(dims)
     bnorm = 1.0 + np.linalg.norm(problem.b)
-    cnorm = 1.0 + np.sqrt(sum(np.sum(c * c) for c in problem.C))
+    cnorm = 1.0 + np.sqrt(sum(_tr2(c, c) for c in problem.C))
 
     if start is None:
         X = [np.eye(d) for d in dims]
@@ -219,11 +186,12 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
         y = np.zeros(m)
     else:
         X0, y0, S0 = start
-        X = [np.asarray(x, dtype=float).copy() for x in X0]
-        S = [np.asarray(s, dtype=float).copy() for s in S0]
+        X = [np.array(x) for x in X0]
+        S = [np.array(s) for s in S0]
         y = np.asarray(y0, dtype=float).copy()
 
-    Aflat = [a.reshape(m, -1) for a in problem.A]
+    # conj(A_i) flattened, so that tr(A_i V) = (Aconj @ V.ravel()).real
+    Aconj = [a.reshape(m, -1).conj() for a in problem.A]
     history = []
     status = "max-iterations"
     it = 0
@@ -235,7 +203,7 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
         dobj = float(problem.b @ y)
         gap = sum(_tr2(x, s) for x, s in zip(X, S))
         pinf = np.linalg.norm(rp) / bnorm
-        dinf = np.sqrt(sum(np.sum(r * r) for r in Rd)) / cnorm
+        dinf = np.sqrt(sum(_tr2(r, r) for r in Rd)) / cnorm
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         history.append((pobj, dobj, gap, pinf, dinf))
         if relgap <= tol and pinf <= tol and dinf <= tol:
@@ -254,7 +222,7 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
             M = np.zeros((m, m))
             for b in range(nb):
                 WAW = np.einsum("ij,kjl,lm->kim", Ws[b], problem.A[b], Ws[b], optimize=True)
-                M += Aflat[b] @ WAW.reshape(m, -1).T
+                M += (Aconj[b] @ WAW.reshape(m, -1).T).real
             M = _sym(M)
             ridge = 0.0
             for attempt in range(4):
@@ -318,35 +286,4 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
         X=X, y=y, S=S,
         primal_obj=history[-1][0], dual_obj=history[-1][1], gap=history[-1][2],
         status=status, iterations=it, history=history,
-        dropped_rows=problem.dropped_rows,
     )
-
-
-def write_sdpa(problem, path):
-    """Dump the problem as a plain-text sparse SDPA-style listing.
-
-    Header: m, number of blocks, block sizes, rhs vector. Then one line per
-    upper-triangle nonzero: constraint-index (0 = objective), block, row,
-    col, value, all 1-based.
-    """
-    lines = [
-        f"{problem.b.size}",
-        f"{len(problem.block_dims)}",
-        " ".join(str(d) for d in problem.block_dims),
-        " ".join(format(v, ".17g") for v in problem.b),
-    ]
-
-    def emit(k, b, mat):
-        d = mat.shape[0]
-        for i in range(d):
-            for j in range(i, d):
-                if mat[i, j] != 0.0:
-                    lines.append(f"{k} {b + 1} {i + 1} {j + 1} {format(mat[i, j], '.17g')}")
-
-    for b, c in enumerate(problem.C):
-        emit(0, b, c)
-    for k in range(problem.b.size):
-        for b, a in enumerate(problem.A):
-            emit(k + 1, b, a[k])
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

@@ -13,13 +13,15 @@ E = 0 means the state admits a PPT-mixture decomposition (or sits on the
 boundary), which for three qubits is the standard relaxation of
 biseparability.
 
-The SDP is solved in-house (sdp module) on the real symmetric embedding
-phi(H) = [[Re H, -Im H], [Im H, Re H]] of the twelve Hermitian blocks
-{P_M, I-P_M, Q_M, I-Q_M}. The 512-row constraint skeleton does not depend
-on rho, so it is assembled and screened once and only the objective is
-swapped per call. The identity-sum structure also yields a strictly
-feasible primal-dual starting point in closed form, which keeps every
-iterate feasible and the duality gap nonnegative throughout.
+The SDP is solved in-house (sdp module) in its native form: the dual
+(LMI) side of the standard form, over the coordinates of the Hermitian W,
+Q_A, Q_B and Q_C in one orthonormal basis of 8x8 Hermitian matrices (256
+rows), with twelve 8x8 Hermitian slack blocks
+{W - Q_M^{T_M}, I - W + Q_M^{T_M}, Q_M, I - Q_M}, i.e. P_M and I - P_M
+with P_M = W - Q_M^{T_M}. There is no real embedding and no cached
+constraint skeleton; the program is assembled per state. Both sides have
+a strictly feasible start in closed form (W = I/2, Q_M = I/4), which keeps
+every iterate feasible and the duality gap nonnegative throughout.
 
 Also here: bipartite negativity and PPT checks, the antidiagonal
 coherence-vs-populations inequality for X-shaped states, its closed-form
@@ -56,86 +58,70 @@ def is_ppt(rho, cut, tol=1e-9):
 
 # -- SDP assembly ------------------------------------------------------
 
-def _embed(h):
-    # real symmetric image of a Hermitian matrix
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _unembed(x):
-    d = x.shape[0] // 2
-    h = 0.5 * (x[:d, :d] + x[d:, d:]) + 0.5j * (x[d:, :d] - x[:d, d:])
-    return 0.5 * (h + h.conj().T)
-
-
 @lru_cache(maxsize=1)
 def _hermitian_basis():
-    """64 Hermitian basis matrices for 8x8; the 8 diagonal units come first."""
+    """Orthonormal basis of the 8x8 Hermitian matrices, tr(H_i H_j) = delta_ij.
+
+    The 8 diagonal units come first, then (E_ij + E_ji)/sqrt(2) and
+    i(E_ji - E_ij)/sqrt(2) for each i < j.
+    """
     basis = []
     for i in range(8):
         e = np.zeros((8, 8), dtype=complex)
         e[i, i] = 1.0
         basis.append(e)
+    r = 1.0 / math.sqrt(2.0)
     for i in range(8):
         for j in range(i + 1, 8):
             s = np.zeros((8, 8), dtype=complex)
-            s[i, j] = s[j, i] = 1.0
+            s[i, j] = s[j, i] = r
             basis.append(s)
             a = np.zeros((8, 8), dtype=complex)
-            a[i, j] = 1j
-            a[j, i] = -1j
+            a[i, j] = -1j * r
+            a[j, i] = 1j * r
             basis.append(a)
-    return np.array(basis)
+    basis = np.array(basis)
+    basis.flags.writeable = False  # shared by every caller through the cache
+    return basis
 
 
-@lru_cache(maxsize=1)
-def _skeleton():
-    """Constraint skeleton shared by every gmn call.
+def _coords(h):
+    """Coordinates tr(H_k h) of an 8x8 Hermitian h in the orthonormal basis."""
+    return np.einsum("kab,ba->k", _hermitian_basis(), h).real
 
-    Block order: [P, I-P, Q, I-Q] per cut, twelve 16x16 real blocks. Rows:
-    six identity-sum groups of 64 (P_M + complement = I, Q_M likewise),
-    then two groups of 64 identifying the three decompositions of W. Matrix
-    equalities are expanded over the Hermitian basis; tr(phi(A) phi(B)) =
-    2 tr(AB) fixes the right-hand sides. Returns the problem (zero
-    objective) and the dual start y0 with -1 on the diagonal-unit rows, for
-    which the adjoint is exactly -I on every block.
+
+def _witness_program(rho):
+    """The witness SDP for rho as the LMI side of sdp's standard form.
+
+    y holds the coordinates of W, Q_A, Q_B and Q_C (64 rows each, 256 in
+    all). Per cut M the four 8x8 slack blocks are
+
+        [W - Q_M^{T_M},  I - W + Q_M^{T_M},  Q_M,  I - Q_M],
+
+    so C = [0, I, 0, I] and b = -tr(H_k rho) on the W rows, 0 on the rest:
+    maximizing b^T y minimizes tr(W rho). Returns the problem and a
+    strictly feasible start: y0 gives W = I/2 and Q_M = I/4, and X0 on cut
+    M is [rho/3 + I/2, I/2, rho^{T_M}/3 + I/2, I/2], which meets the
+    equality constraints since tr(H^{T_M} rho) = tr(H rho^{T_M}).
     """
-    basis = _hermitian_basis()
-    emb = np.array([_embed(h) for h in basis])
-    emb_pt = [
-        np.array([_embed(partial_transpose(h, cut)) for h in basis])
-        for cut in BIPARTITIONS
-    ]
-    m = 512
-    A = [np.zeros((m, 16, 16)) for _ in range(12)]
-    b = np.zeros(m)
-    traces = 2.0 * np.trace(basis, axis1=1, axis2=2).real
+    H = _hermitian_basis()
+    zero = np.zeros_like(H)
+    eye = np.eye(8)
+    A, C, X0 = [], [], []
+    for k, cut in enumerate(BIPARTITIONS):
+        Ht = np.array([partial_transpose(h, cut) for h in H])
 
-    def blk(cut_idx, kind):
-        # kind: 0 = P, 1 = I-P, 2 = Q, 3 = I-Q
-        return 4 * cut_idx + kind
+        def rows(w, q):
+            return np.concatenate([w] + [q if j == k else zero for j in range(3)])
 
-    row = 0
-    for cut_idx in range(3):
-        for kind in (0, 2):
-            sl = slice(row, row + 64)
-            A[blk(cut_idx, kind)][sl] = emb
-            A[blk(cut_idx, kind + 1)][sl] = emb
-            b[sl] = traces
-            row += 64
-    for cut_idx in (1, 2):
-        sl = slice(row, row + 64)
-        A[blk(0, 0)][sl] = emb
-        A[blk(0, 2)][sl] = emb_pt[0]
-        A[blk(cut_idx, 0)][sl] = -emb
-        A[blk(cut_idx, 2)][sl] = -emb_pt[cut_idx]
-        row += 64
-
-    problem = SdpProblem([16] * 12, [np.zeros((16, 16))] * 12, A, b)
-    y0 = np.zeros(problem.b.size)
-    for g in range(6):
-        y0[64 * g: 64 * g + 8] = -1.0
-    return problem, y0
+        A += [rows(-H, Ht), rows(H, -Ht), rows(zero, -H), rows(zero, H)]
+        C += [0 * eye, eye, 0 * eye, eye]
+        X0 += [rho / 3 + eye / 2, eye / 2, partial_transpose(rho, cut) / 3 + eye / 2, eye / 2]
+    b = np.concatenate([-_coords(rho), np.zeros(192)])
+    problem = SdpProblem([8] * 12, C, A, b)
+    y0 = np.concatenate([_coords(eye / 2)] + [_coords(eye / 4)] * 3)
+    S0 = [c - a for c, a in zip(problem.C, problem.adjoint(y0))]
+    return problem, (X0, y0, S0)
 
 
 @dataclass
@@ -158,27 +144,18 @@ class GmnReport:
 def gmn(rho, *, tol=1e-8, max_iter=100):
     """Genuine negativity of a three-qubit state via the witness SDP."""
     rho = validate(rho)
-    skeleton, y0 = _skeleton()
-    rho_t1 = partial_transpose(rho, BIPARTITIONS[0])
-    C = [np.zeros((16, 16)) for _ in range(12)]
-    C[0] = 0.5 * _embed(rho)
-    C[2] = 0.5 * _embed(rho_t1)
-    problem = skeleton.with_objective(C)
-    X0 = [0.5 * np.eye(16) for _ in range(12)]
-    S0 = [c - a for c, a in zip(problem.C, problem.adjoint(y0))]
-    sol = solve(problem, tol=tol, max_iter=max_iter, start=(X0, y0, S0))
-
-    witness = _unembed(sol.X[0]) + partial_transpose(_unembed(sol.X[2]), BIPARTITIONS[0])
+    problem, start = _witness_program(rho)
+    sol = solve(problem, tol=tol, max_iter=max_iter, start=start)
     negativities = {
         cut.label: max(0.0, trace_norm(partial_transpose(rho, cut)) - 1.0)
         for cut in BIPARTITIONS
     }
     return GmnReport(
-        value=max(0.0, -2.0 * sol.primal_obj),
-        witness=witness,
+        value=max(0.0, 2.0 * sol.dual_obj),
+        witness=np.einsum("k,kab->ab", sol.y[:64], _hermitian_basis()),
         negativities=negativities,
         status=sol.status,
-        optimum=sol.primal_obj,
+        optimum=-sol.dual_obj,
         gap=sol.gap,
         iterations=sol.iterations,
     )
@@ -258,6 +235,7 @@ class ScanResult:
     lo_value: float
     hi_value: float
     evaluations: int
+    status: str
 
 
 def threshold_scan(family, scan, bracket, *, n=1.0, mu=None, alpha=None,
@@ -272,12 +250,16 @@ def threshold_scan(family, scan, bracket, *, n=1.0, mu=None, alpha=None,
     dependence, so m is not a parameter here. If gmn - eps has the same
     sign at both ends the result has found=False and boundary=nan, which is
     a no-threshold outcome rather than an error. Otherwise the boundary is
-    bisected to within `resolution`.
+    bisected to within `resolution`. status is the solver status of the
+    first probe that did not end "optimal", or "optimal" if all did; a
+    non-optimal probe may have decided a bisection step.
     """
     if scan not in ("alpha", "beta", "mu"):
         raise ValueError('scan must be "alpha", "beta" or "mu"')
     if scan == "mu" and not asymptotic:
         raise ValueError("scanning mu requires asymptotic=True")
+
+    statuses = []
 
     def gmn_at(v):
         weights = {"alpha": alpha, "beta": beta}
@@ -288,26 +270,25 @@ def threshold_scan(family, scan, bracket, *, n=1.0, mu=None, alpha=None,
         if asymptotic:
             mu_v = v if scan == "mu" else mu
             state = asymptotic_state(state, SgadParams(1.0, float(n), 0.0), float(mu_v))
-        return gmn(state, tol=tol).value
+        report = gmn(state, tol=tol)
+        statuses.append(report.status)
+        return report.value
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     lo_value = gmn_at(lo)
     hi_value = gmn_at(hi)
-    evaluations = 2
     lo_pos = lo_value > eps
-    if lo_pos == (hi_value > eps):
-        return ScanResult(scan=scan, found=False, boundary=math.nan,
-                          bracket=(lo, hi), lo_value=lo_value,
-                          hi_value=hi_value, evaluations=evaluations)
-    while hi - lo > resolution:
+    found = lo_pos != (hi_value > eps)
+    while found and hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        evaluations += 1
         if (gmn_at(mid) > eps) == lo_pos:
             lo = mid
         else:
             hi = mid
-    return ScanResult(scan=scan, found=True, boundary=0.5 * (lo + hi),
+    return ScanResult(scan=scan, found=found,
+                      boundary=0.5 * (lo + hi) if found else math.nan,
                       bracket=(lo, hi), lo_value=lo_value, hi_value=hi_value,
-                      evaluations=evaluations)
+                      evaluations=len(statuses),
+                      status=next((st for st in statuses if st != "optimal"), "optimal"))

@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from sgadmem.channel import SgadParams, asymptotic_state
 from sgadmem.cli import main
-from sgadmem.states import load_state, make_pure, save_state
+from sgadmem.states import load_state, make_noisy, make_pure, save_state
+from sgadmem.witness import gmn
 
 
 def run(capsys, argv):
@@ -99,6 +101,15 @@ def test_asymptotic_json_format(capsys):
     assert all(r["status"] == "optimal" for r in rows)
 
 
+def test_asymptotic_honours_tol(capsys):
+    code, out, _ = run(capsys, ["asymptotic", "--family", "w", "--beta", "0.3",
+                                "--n", "1", "--grid", "0.5:0.5:1", "--tol", "1e-2"])
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    rho = asymptotic_state(make_noisy("w", beta=0.3), SgadParams(1.0, 1.0, 0.0), 0.5)
+    assert row[4] == format(gmn(rho, tol=1e-2).value, ".12g")
+
+
 # -- gmn ---------------------------------------------------------------------------
 
 def test_gmn_family_and_witness_export(tmp_path, capsys):
@@ -155,6 +166,13 @@ def test_scan_reports_missing_threshold(capsys):
                                 "--grid", "0.6:0.9:0.05"])
     assert code == 0
     assert "no gmn threshold" in out
+
+
+def test_scan_exits_3_on_non_optimal_probe(capsys):
+    code, out, _ = run(capsys, ["scan", "--family", "ghz1", "--scan", "alpha",
+                                "--grid", "0.3:0.6:0.05", "--tol", "1e-16"])
+    assert code == 3
+    assert "status = optimal" not in out
 
 
 def test_entry_point_runs():

@@ -3,11 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from sgadmem.sdp import SdpProblem, solve, write_sdpa
+from sgadmem.sdp import SdpProblem, solve
 
 
 def sym(a):
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.conj().T)
+
+
+def rand_herm(rng, d):
+    return sym(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
 
 
 def unit(d, i, j):
@@ -33,8 +37,9 @@ def test_forced_value_example():
 
 def test_min_eigenvalue_20_random():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        c = sym(rng.normal(size=(7, 7)))
+    real = [sym(rng.normal(size=(7, 7))) for _ in range(20)]
+    hermitian = [rand_herm(rng, 7) for _ in range(20)]
+    for c in real + hermitian:
         sol = solve(min_eig_problem(c))
         assert sol.status == "optimal"
         target = np.linalg.eigvalsh(c)[0]
@@ -83,8 +88,7 @@ def test_diagonal_lp_vs_vertex_enumeration():
 
 def test_weak_duality_every_iteration_from_feasible_start():
     rng = np.random.default_rng(3)
-    for _ in range(3):
-        c = sym(rng.normal(size=(6, 6)))
+    for c in [sym(rng.normal(size=(6, 6))) for _ in range(3)] + [rand_herm(rng, 6)]:
         prob = min_eig_problem(c)
         x0 = [np.eye(6) / 6.0]
         y0 = np.array([np.linalg.eigvalsh(c)[0] - 1.0])
@@ -99,13 +103,15 @@ def test_weak_duality_every_iteration_from_feasible_start():
 
 def test_complementarity_at_optimum():
     rng = np.random.default_rng(4)
-    c1, c2 = sym(rng.normal(size=(4, 4))), sym(rng.normal(size=(3, 3)))
-    prob = SdpProblem([4, 3], [c1, c2],
-                      [np.eye(4)[None], np.eye(3)[None]], [1.0])
-    sol = solve(prob)
-    assert sol.status == "optimal"
-    for xb, sb in zip(sol.X, sol.S):
-        assert np.abs(xb @ sb).max() <= 1e-6
+    real = (sym(rng.normal(size=(4, 4))), sym(rng.normal(size=(3, 3))))
+    hermitian = (rand_herm(rng, 4), rand_herm(rng, 3))
+    for c1, c2 in (real, hermitian):
+        prob = SdpProblem([4, 3], [c1, c2],
+                          [np.eye(4)[None], np.eye(3)[None]], [1.0])
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        for xb, sb in zip(sol.X, sol.S):
+            assert np.abs(xb @ sb).max() <= 1e-6
 
 
 def test_orthogonal_remixing_invariance():
@@ -132,20 +138,6 @@ def test_objective_scaling():
     assert abs(v2 - scale * v1) <= 1e-7 * scale
 
 
-def test_dependent_rows_dropped_with_warning():
-    d = 4
-    a1 = unit(d, 0, 0)
-    a2 = unit(d, 1, 1)
-    rows = np.stack([a1, a2, a1 + a2])  # third row dependent
-    with pytest.warns(UserWarning, match="dependent"):
-        prob = SdpProblem([d], [np.eye(d)], [rows], [1.0, 2.0, 3.0])
-    assert prob.dropped_rows == 1
-    assert prob.b.size == 2
-    sol = solve(prob)
-    assert sol.status == "optimal"
-    assert abs(sol.primal_obj - 3.0) < 1e-6
-
-
 def test_data_validation():
     bad = np.zeros((3, 3))
     bad[0, 1] = 1.0  # not symmetric
@@ -155,15 +147,12 @@ def test_data_validation():
         SdpProblem([3], [np.eye(3)], [bad[None]], [1.0])
     with pytest.raises(ValueError):
         SdpProblem([3], [np.eye(2)], [np.eye(3)[None]], [1.0])
-
-
-def test_with_objective_shares_constraints():
-    rng = np.random.default_rng(7)
-    c = sym(rng.normal(size=(4, 4)))
-    prob = min_eig_problem(c)
-    other = prob.with_objective([2.0 * c])
-    assert other.A[0] is prob.A[0]
-    assert abs(solve(other).primal_obj - 2.0 * solve(prob).primal_obj) < 1e-6
+    # complex symmetric but not Hermitian
+    bad = np.array([[0.0, 1j], [1j, 0.0]])
+    with pytest.raises(ValueError):
+        SdpProblem([2], [bad], [np.eye(2)[None]], [1.0])
+    with pytest.raises(ValueError):
+        SdpProblem([2], [np.eye(2)], [bad[None]], [1.0])
 
 
 def test_history_and_iterations_recorded():
@@ -173,27 +162,3 @@ def test_history_and_iterations_recorded():
     assert len(sol.history[0]) == 5
     # gap shrinks by many orders of magnitude
     assert sol.history[-1][2] < 1e-6 * max(sol.history[0][2], 1.0)
-
-
-def test_sdpa_dump(tmp_path):
-    rng = np.random.default_rng(9)
-    c = sym(rng.normal(size=(3, 3)))
-    prob = SdpProblem([3, 2], [c, np.eye(2)],
-                      [np.eye(3)[None], np.eye(2)[None]], [1.0])
-    path = tmp_path / "problem.dat"
-    write_sdpa(prob, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "1"
-    assert lines[1] == "2"
-    assert lines[2].split() == ["3", "2"]
-    assert float(lines[3]) == 1.0
-    # every entry line: constraint block row col value, 1-based, upper triangle
-    for ln in lines[4:]:
-        k, blk, i, j, v = ln.split()
-        assert int(k) >= 0 and int(blk) in (1, 2)
-        assert 1 <= int(i) <= int(j)
-        float(v)
-    # objective upper-triangle nonzeros of both blocks are all present
-    n_obj = sum(1 for ln in lines[4:] if ln.split()[0] == "0")
-    expect = np.count_nonzero(np.triu(c)) + 2
-    assert n_obj == expect
