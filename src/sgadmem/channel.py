@@ -7,8 +7,14 @@ damping set, tensored) or collectively through sigma_+/-^(x3) (which has a
 closed-form solution and a 6x6 decoherence-free inner block). The memory
 parameter mu in [0, 1] convexly mixes the two.
 
+Each map is one superoperator S on the row-major vec(rho)[i*d + j] = rho[i, j],
+so an operator set {K} has S = sum_K K x conj(K); the Choi matrix is a
+reshuffle of S (Wood, Biamonte & Cory, QIC 15, 759 (2015)). The integrator
+builds the Liouvillian L once; on this linear equation one RK4 step is the
+matrix T4(hL) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so k steps are T4^k.
+
 Time enters only through the dimensionless products Omega*t and m*Omega*t;
-``t = math.inf`` is the asymptotic marker and is handled in closed form.
+``t = math.inf`` is the asymptotic marker and takes the same code path.
 
 A caveat that matters when comparing against the master-equation integrator:
 the four-operator damping set reproduces the generator's populations exactly
@@ -19,6 +25,7 @@ agree on the diagonal sector only. See README for the full account.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +72,9 @@ class SgadParams:
     m: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.omega, self.n, self.m)):
+            raise ValueError(f"omega, n and m must be finite, got omega={self.omega}, "
+                             f"n={self.n}, m={self.m}")
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.n < 0 or self.m < 0:
@@ -85,8 +95,6 @@ def _radicands(p, t):
     n, m = p.n, p.m
     a2 = n / (2 * n + 1)
     b2 = (n + 1) / (2 * n + 1)
-    if math.isinf(t):
-        return {"k1": a2, "k2": b2, "k3": a2, "k4": b2, "xc": 0.0, "xs": 0.0}
     wt = p.omega * t
     ep = math.exp(-(n + 0.5 - m) * wt)  # n + 1/2 > sqrt(n(n+1)) >= m, so this decays
     em = math.exp(-(n + 0.5 + m) * wt)
@@ -103,19 +111,8 @@ def _radicands(p, t):
     }
 
 
-def kraus_single(p, t):
-    """Four-operator damping set [K1, K2, K3, K4] at time t.
-
-    K1 = diag(k1, k2), K2 = antidiag(k3, k4), K3 = sqrt(xc) I, K4 = sqrt(xs) sigma_x.
-    Radicands in [-RADICAND_TOL, 0] snap to zero; lower values raise
-    CpViolationError naming every offending coefficient.
-    """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    rad = _radicands(p, t)
-    offenders = [k for k in ("k1", "k2", "k3", "k4", "xc", "xs") if rad[k] < -RADICAND_TOL]
-    if offenders:
-        raise CpViolationError(offenders, p.n, p.m, p.omega * t, rad)
+def _kraus_from(rad):
+    """[K1, K2, K3, K4] from radicands, each clamped at zero."""
     k1, k2, k3, k4, xc, xs = (math.sqrt(max(rad[k], 0.0)) for k in ("k1", "k2", "k3", "k4", "xc", "xs"))
     return [
         np.array([[k1, 0.0], [0.0, k2]], dtype=complex),
@@ -125,6 +122,22 @@ def kraus_single(p, t):
     ]
 
 
+def kraus_single(p, t):
+    """Four-operator damping set [K1, K2, K3, K4] at time t.
+
+    K1 = diag(k1, k2), K2 = antidiag(k3, k4), K3 = sqrt(xc) I, K4 = sqrt(xs) sigma_x.
+    Radicands in [-RADICAND_TOL, 0] snap to zero; lower values raise
+    CpViolationError naming every offending coefficient.
+    """
+    if not t >= 0:  # NaN fails this too; t = inf is the asymptote
+        raise ValueError(f"t must be nonnegative, got {t}")
+    rad = _radicands(p, t)
+    offenders = [k for k in ("k1", "k2", "k3", "k4", "xc", "xs") if rad[k] < -RADICAND_TOL]
+    if offenders:
+        raise CpViolationError(offenders, p.n, p.m, p.omega * t, rad)
+    return _kraus_from(rad)
+
+
 def _lift(op, q):
     """Embed a single-qubit operator on qubit q of three."""
     mats = [I2, I2, I2]
@@ -132,44 +145,87 @@ def _lift(op, q):
     return tensor(mats[0], tensor(mats[1], mats[2]))
 
 
-def _apply_one_qubit(rho, ops, q):
-    lifted = [_lift(K, q) for K in ops]
-    out = np.zeros_like(rho)
-    for L in lifted:
-        out += L @ rho @ L.conj().T
-    return out
+def _single_superop(p, t, clamp=False):
+    """4x4 superoperator sum_K K x conj(K) of the single-qubit damping set.
+
+    With clamp=True, radicands outside the validity domain are clamped at zero
+    with a UserWarning (still CP, no longer trace preserving) instead of raising.
+    """
+    try:
+        ops = kraus_single(p, t)
+    except CpViolationError as exc:
+        if not clamp:
+            raise
+        warnings.warn(
+            f"Kraus radicands clamped to zero for {', '.join(exc.offenders)} at "
+            f"n={p.n}, m={p.m}, Omega*t={p.omega * t}: outside the operator "
+            "set's validity domain, map is not trace preserving there",
+            UserWarning,
+            stacklevel=3,
+        )
+        ops = _kraus_from(exc.radicands)
+    return sum(np.kron(K, K.conj()) for K in ops)
 
 
-def _check_dim8(rho):
+def _correlated_superop(p, t):
+    """64x64 superoperator of the collective closed form (see apply_correlated)."""
+    if not t >= 0:  # NaN fails this too; t = inf is the asymptote
+        raise ValueError(f"t must be nonnegative, got {t}")
+    n, m = p.n, p.m
+    wt = p.omega * t
+    eb = math.exp(-0.5 * (n + 1) * wt)
+    es = math.exp(-0.5 * n * wt) if n > 0 else 1.0  # at n = 0 the (s, 8) border does not decay
+    e2 = math.exp(-(2 * n + 1) * wt)
+    # n + 1/2 - m > 0 whenever m^2 <= n(n+1), so both corner exponents decay
+    epm = math.exp(-(n + m + 0.5) * wt)
+    emm = math.exp(-(n - m + 0.5) * wt)
+    decay = np.ones((8, 8), dtype=complex)  # factor on each rho_ij
+    decay[0, 1:7] = decay[1:7, 0] = eb
+    decay[7, 1:7] = decay[1:7, 7] = es
+    s = np.diag(decay.ravel())
+    # corner blocks on the vec indices of (rho_11, rho_88) and (rho_18, rho_81)
+    s[np.ix_((0, 63), (0, 63))] = np.array(
+        [[n + (n + 1) * e2, n * (1 - e2)],
+         [(1 - e2) * (1 + n), 1 + n * (1 + e2)]]) / (2 * n + 1)
+    s[np.ix_((7, 56), (7, 56))] = 0.5 * np.array(
+        [[epm + emm, epm - emm],
+         [epm - emm, epm + emm]])
+    return s
+
+
+def _memory_superop(p, t, mu, clamp=False):
+    """64x64 superoperator of apply_memory; mu = 1 never builds the operator set."""
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    if mu == 1.0:
+        return _correlated_superop(p, t)
+    s = _single_superop(p, t, clamp).reshape(2, 2, 2, 2)  # (row out, col out, row in, col in)
+    unc = np.einsum("adgj,behk,cfil->abcdefghijkl", s, s, s).reshape(64, 64)  # s on each qubit
+    if mu == 0.0:
+        return unc
+    return mu * _correlated_superop(p, t) + (1 - mu) * unc
+
+
+def _apply(s, rho):
+    """Apply a 64x64 superoperator to an 8x8 matrix; the map must keep the trace."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (8, 8):
         raise ValueError(f"expected an 8x8 three-qubit matrix, got {rho.shape}")
-    return rho
+    out = (s @ rho.reshape(64)).reshape(8, 8)
+    drift = abs(np.trace(out) - np.trace(rho))
+    if drift > TRACE_TOL:
+        raise RuntimeError(f"map lost trace: drift {drift:.3e}")
+    return out
 
 
 def apply_uncorrelated(rho, p, t):
     """Independent per-qubit damping: sum over all 64 tensor products K_a x K_b x K_c.
 
-    Computed by composing the single-qubit map qubit-by-qubit, which is the
-    same linear map at a 64th of the work; a test materializes all 64
-    products once to pin the equivalence.
+    Applied as the single-qubit superoperator lifted to three qubits, which is
+    the same linear map; a test materializes all 64 products once to pin the
+    equivalence.
     """
-    rho = _check_dim8(rho)
-    ops = kraus_single(p, t)
-    out = rho
-    for q in range(3):
-        out = _apply_one_qubit(out, ops, q)
-    drift = abs(np.trace(out) - np.trace(rho))
-    if drift > TRACE_TOL:
-        raise RuntimeError(f"uncorrelated map lost trace: drift {drift:.3e}")
-    return out
-
-
-def _dexp(c, wt):
-    """e^{-c * wt} with the c = 0, wt = inf corner resolved to 1."""
-    if math.isinf(wt):
-        return 1.0 if c == 0 else 0.0
-    return math.exp(-c * wt)
+    return _apply(_memory_superop(p, t, 0.0), rho)
 
 
 def apply_correlated(rho, p, t):
@@ -180,34 +236,10 @@ def apply_correlated(rho, p, t):
     rho_1s / rho_s8 decay with e^{-(n+1)Omega t/2} / e^{-n Omega t/2}; the
     corner 2x2 populations relax toward (n, n+1)/(2n+1) weights and the
     rho_18 coherence splits into two exponentials e^{-(n+1/2 -+ m)Omega t}.
-    Trace is preserved exactly. The map is applied as a linear map, so the
-    Choi construction can feed it matrix units; on Hermitian input the
-    rho_81 line reduces to conj(rho_18).
+    Trace is preserved. The map is linear; on Hermitian input the rho_81
+    line reduces to conj(rho_18).
     """
-    rho = _check_dim8(rho)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    n, m = p.n, p.m
-    wt = p.omega * t if not math.isinf(t) else math.inf
-    out = rho.copy()
-    eb = _dexp(0.5 * (n + 1), wt)
-    es = _dexp(0.5 * n, wt)  # at n = 0 the (s, 8) border does not decay at all
-    e2 = _dexp(2 * n + 1, wt)
-    # n + 1/2 - m > 0 whenever m^2 <= n(n+1), so both corner exponents decay
-    epm = _dexp(n + m + 0.5, wt)
-    emm = _dexp(n - m + 0.5, wt)
-    r11, r88, r18, r81 = rho[0, 0], rho[7, 7], rho[0, 7], rho[7, 0]
-    for s in range(1, 7):
-        out[0, s] = rho[0, s] * eb
-        out[s, 0] = rho[s, 0] * eb
-        out[s, 7] = rho[s, 7] * es
-        out[7, s] = rho[7, s] * es
-    out[0, 0] = (n * (r11 + r88) + ((n + 1) * r11 - n * r88) * e2) / (2 * n + 1)
-    # written so that out[0,0] + out[7,7] == r11 + r88 exactly
-    out[7, 7] = ((1 - e2) * (1 + n) * r11 + (1 + n * (1 + e2)) * r88) / (2 * n + 1)
-    out[0, 7] = 0.5 * ((r18 + r81) * epm + (r18 - r81) * emm)
-    out[7, 0] = 0.5 * ((r81 + r18) * epm + (r81 - r18) * emm)
-    return out
+    return _apply(_correlated_superop(p, t), rho)
 
 
 def apply_memory(rho, p, t, mu):
@@ -217,38 +249,21 @@ def apply_memory(rho, p, t, mu):
     where the four-operator set of the unused uncorrelated branch would be
     outside its validity domain.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    if mu == 1.0:
-        return apply_correlated(rho, p, t)
-    if mu == 0.0:
-        return apply_uncorrelated(rho, p, t)
-    return mu * apply_correlated(rho, p, t) + (1 - mu) * apply_uncorrelated(rho, p, t)
+    return _apply(_memory_superop(p, t, mu), rho)
 
 
 def asymptotic_state(rho, p, mu):
-    """Closed-form t -> infinity limit of the memory channel.
+    """t -> infinity limit of the memory channel: ``apply_memory`` at t = inf.
 
     Both branches lose all m dependence in the limit. The uncorrelated limit
-    is the per-qubit composition of the two surviving operators diag(a, b)
-    and antidiag(a, b) (a^2 = n/(2n+1), b^2 = (n+1)/(2n+1)): diagonals land
-    on the thermal product and each fully off-diagonal element spreads over
-    all eight antidiagonal positions with weight (ab)^3 per step. The
-    correlated limit empties the borders and the rho_18 coherence and
-    thermalizes the corner populations while leaving the inner block alone.
+    is the per-qubit damping by the two surviving operators diag(a, b) and
+    antidiag(a, b) (a^2 = n/(2n+1), b^2 = (n+1)/(2n+1)): diagonals land on
+    the thermal product and each fully off-diagonal element spreads over all
+    eight antidiagonal positions with weight (ab)^3. The correlated limit
+    empties the borders and the rho_18 coherence and thermalizes the corner
+    populations while leaving the inner block alone.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    rho = _check_dim8(rho)
-    if mu == 1.0:
-        return apply_correlated(rho, p, math.inf)
-    ops = kraus_single(p, math.inf)
-    unc = rho
-    for q in range(3):
-        unc = _apply_one_qubit(unc, ops, q)
-    if mu == 0.0:
-        return unc
-    return mu * apply_correlated(rho, p, math.inf) + (1 - mu) * unc
+    return apply_memory(rho, p, math.inf, mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,12 +273,13 @@ class LindbladSpec:
     mode "uncorrelated": three independent single-qubit generators summed.
     mode "correlated":   one collective generator built from sigma_+/-^(x3).
     The squeezing term couples rho to sigma_+ rho sigma_+ + sigma_- rho sigma_-
-    with rate Omega*m in both modes.
+    with rate Omega*m in both modes. The generator is built once, as the
+    64x64 Liouvillian on row-major vec(rho).
     """
 
     mode: str
     params: SgadParams
-    _ops: list = field(init=False, repr=False)
+    _liouvillian: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("uncorrelated", "correlated"):
@@ -273,80 +289,48 @@ class LindbladSpec:
             pairs = [(sp, sp.conj().T)]
         else:
             pairs = [(_lift(SIGMA_P, q), _lift(SIGMA_M, q)) for q in range(3)]
-        object.__setattr__(self, "_ops", pairs)
-
-    def rhs(self, rho):
-        """d rho / dt for a batch (..., 8, 8) of states."""
         n, m, w = self.params.n, self.params.m, self.params.omega
-        out = np.zeros_like(rho)
-        for sp, sm in self._ops:
+        eye = np.eye(8)
+        gen = np.zeros((64, 64), dtype=complex)  # a rho b is np.kron(a, b.T) on vec(rho)
+        for sp, sm in pairs:
             pm = sp @ sm  # |excited-pattern><excited-pattern| projector
             mp = sm @ sp
-            out += -0.5 * w * (n + 1) * (pm @ rho + rho @ pm - 2 * (sm @ rho @ sp))
-            out += -0.5 * w * n * (mp @ rho + rho @ mp - 2 * (sp @ rho @ sm))
-            out += -w * m * (sp @ rho @ sp + sm @ rho @ sm)
-        return out
+            gen += -0.5 * w * (n + 1) * (np.kron(pm, eye) + np.kron(eye, pm.T) - 2 * np.kron(sm, sp.T))
+            gen += -0.5 * w * n * (np.kron(mp, eye) + np.kron(eye, mp.T) - 2 * np.kron(sp, sm.T))
+            gen += -w * m * (np.kron(sp, sp.T) + np.kron(sm, sm.T))
+        object.__setattr__(self, "_liouvillian", gen)
 
 
 def integrate_master(rho, lspec, t_final, dt):
     """Fixed-step RK4 integration of the requested generator.
 
     ``rho`` may carry a leading batch axis (k, 8, 8); all states advance in
-    lockstep. The step size must satisfy dt <= 0.01 / (Omega (2n+1)); the
-    actual step is t_final / ceil(t_final / dt) so the endpoint is exact.
+    lockstep. The step size must satisfy 0 < dt <= 0.01 / (Omega (2n+1)); the
+    actual step is h = t_final / ceil(t_final / dt) so the endpoint is exact.
+    The equation is linear, so the steps are applied at once as the RK4 step
+    matrix T4(hL) raised to their number.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected (..., 8, 8) states, got {rho.shape}")
+    if not 0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
     p = lspec.params
     bound = 0.01 / (p.omega * (2 * p.n + 1))
-    if dt > bound + 1e-15:
-        raise ValueError(f"dt={dt} exceeds stability bound {bound:.3e}")
-    if t_final == 0:
-        return rho.copy()
+    if not 0 < dt <= bound + 1e-15:
+        raise ValueError(f"dt={dt} must be positive and within the stability bound {bound:.3e}")
     steps = max(1, math.ceil(t_final / dt))
-    h = t_final / steps
-    out = rho.copy()
-    for _ in range(steps):
-        k1 = lspec.rhs(out)
-        k2 = lspec.rhs(out + 0.5 * h * k1)
-        k3 = lspec.rhs(out + 0.5 * h * k2)
-        k4 = lspec.rhs(out + h * k3)
-        out += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    hl = (t_final / steps) * lspec._liouvillian
+    eye = np.eye(64)
+    step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4) / 3) / 2)  # T4(hL), Horner form
+    prop = np.linalg.matrix_power(step, steps)
+    out = (rho.reshape(*rho.shape[:-2], 64) @ prop.T).reshape(rho.shape)
     tr_in = np.trace(rho, axis1=-2, axis2=-1)
     tr_out = np.trace(out, axis1=-2, axis2=-1)
     drift = np.abs(tr_out - tr_in).max()
     if drift > 1e-6:
         raise RuntimeError(f"integration lost trace: drift {drift:.3e}")
     return out
-
-
-def _clamped_kraus(p, t):
-    """Kraus set with radicands clamped at zero regardless of magnitude.
-
-    Outside the validity domain the clamped set is still completely positive
-    but no longer trace preserving; callers that want a diagnostic rather
-    than an exception (the Choi builder) use this and warn.
-    """
-    import warnings
-
-    rad = _radicands(p, t)
-    bad = [k for k in ("k1", "k2", "k3", "k4") if rad[k] < -RADICAND_TOL]
-    if bad:
-        warnings.warn(
-            f"Kraus radicands clamped to zero for {', '.join(bad)} at "
-            f"n={p.n}, m={p.m}, Omega*t={p.omega * t}: outside the operator "
-            "set's validity domain, map is not trace preserving there",
-            UserWarning,
-            stacklevel=3,
-        )
-    k1, k2, k3, k4, xc, xs = (math.sqrt(max(rad[k], 0.0)) for k in ("k1", "k2", "k3", "k4", "xc", "xs"))
-    return [
-        np.array([[k1, 0.0], [0.0, k2]], dtype=complex),
-        np.array([[0.0, k3], [k4, 0.0]], dtype=complex),
-        xc * I2,
-        xs * SIGMA_X,
-    ]
 
 
 def choi_matrix(p, t, mode, mu=0.0):
@@ -356,39 +340,19 @@ def choi_matrix(p, t, mode, mu=0.0):
     mode "correlated-3q":       64x64, collective closed form.
     mode "memory-3q":           64x64, mu-mixture of the two three-qubit maps.
 
+    Built as the reshuffle of the map's superoperator S:
+    choi[i*d + a, j*d + b] = S[a*d + b, i*d + j] / d.
     The map is completely positive iff the minimum eigenvalue is >= -1e-8;
     a negative value is a returned diagnostic, never an exception. At
     parameter points outside the damping set's validity domain the radicands
     are clamped (with a UserWarning) and the defect shows up as trace < 1.
     """
     if mode == "uncorrelated-single":
-        ops = _clamped_kraus(p, t)
-        dim = 2
-        def phi(e):
-            return sum(K @ e @ K.conj().T for K in ops)
+        s, dim = _single_superop(p, t, clamp=True), 2
     elif mode == "correlated-3q":
-        dim = 8
-        def phi(e):
-            return apply_correlated(e, p, t)
+        s, dim = _correlated_superop(p, t), 8
     elif mode == "memory-3q":
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"mu must lie in [0, 1], got {mu}")
-        ops = _clamped_kraus(p, t) if mu < 1.0 else None
-        dim = 8
-        def phi(e):
-            corr = apply_correlated(e, p, t)
-            if mu == 1.0:
-                return corr
-            unc = e
-            for q in range(3):
-                unc = _apply_one_qubit(unc, ops, q)
-            return mu * corr + (1 - mu) * unc
+        s, dim = _memory_superop(p, t, mu, clamp=True), 8
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            choi[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = phi(e)
-    return choi / dim
+    return s.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim) / dim

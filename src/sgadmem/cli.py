@@ -236,6 +236,8 @@ def _run_asymptotic(args):
         weights = args.alpha if args.alpha else [1.0]
     else:
         weights = args.beta if args.beta else [0.0]
+    for n in args.n:
+        SgadParams(1.0, n, 0.0)  # a bad --n is an input error (exit 2), not a sweep of error rows
     mus = _grid(args.grid) if args.grid else (args.mu if args.mu else _grid("0:1:0.01"))
     tasks = [(family, w, n, mu, args.tol) for w in weights for n in args.n for mu in mus]
     if args.workers > 1:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from sgadmem.channel import (
+    I2,
+    SIGMA_P,
     CpViolationError,
     LindbladSpec,
     SgadParams,
@@ -41,6 +43,49 @@ def admissible(params, t):
     return True
 
 
+def choi_from_definition(phi, dim):
+    """(1/d) sum_ij E_ij x phi(E_ij), one matrix unit at a time."""
+    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, j] = 1.0
+            choi += np.kron(e, phi(e))
+    return choi / dim
+
+
+def reference_rhs(spec, rho):
+    """Operator-form generator: d rho / dt for a batch (..., 8, 8) of states."""
+    n, m, w = spec.params.n, spec.params.m, spec.params.omega
+    if spec.mode == "correlated":
+        raising = [tensor(SIGMA_P, SIGMA_P, SIGMA_P)]
+    else:
+        raising = [tensor(*(SIGMA_P if k == q else I2 for k in range(3))) for q in range(3)]
+    out = np.zeros_like(rho)
+    for sp in raising:
+        sm = sp.conj().T
+        pm = sp @ sm
+        mp = sm @ sp
+        out += -0.5 * w * (n + 1) * (pm @ rho + rho @ pm - 2 * (sm @ rho @ sp))
+        out += -0.5 * w * n * (mp @ rho + rho @ mp - 2 * (sp @ rho @ sm))
+        out += -w * m * (sp @ rho @ sp + sm @ rho @ sm)
+    return out
+
+
+def reference_rk4(rho, spec, t_final, dt):
+    """Classical RK4, one step at a time, with integrate_master's step size."""
+    steps = max(1, math.ceil(t_final / dt))
+    h = t_final / steps
+    out = np.array(rho, dtype=complex)
+    for _ in range(steps):
+        k1 = reference_rhs(spec, out)
+        k2 = reference_rhs(spec, out + 0.5 * h * k1)
+        k3 = reference_rhs(spec, out + 0.5 * h * k2)
+        k4 = reference_rhs(spec, out + h * k3)
+        out += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return out
+
+
 # -- parameter validation -------------------------------------------------
 
 def test_params_validation():
@@ -50,6 +95,10 @@ def test_params_validation():
         SgadParams(1.0, -0.5, 0.0)
     with pytest.raises(ValueError):
         SgadParams(1.0, 1.0, 1.5)  # m^2 > n(n+1)
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 1.0, 0.0), (1.0, bad, 0.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError):
+                SgadParams(*args)
     p = SgadParams(1.0, 1.0, math.sqrt(2.0) * 0.999)
     assert p.m < math.sqrt(2.0)
 
@@ -92,8 +141,17 @@ def test_kraus_infinite_time_limits():
 
 
 def test_kraus_negative_time_rejected():
-    with pytest.raises(ValueError):
-        kraus_single(SgadParams(1.0, 1.0, 0.0), -0.1)
+    p = SgadParams(1.0, 1.0, 0.0)
+    # every map rejects negative and NaN times; t = inf stays the asymptote
+    rho = make_pure("ghz1")
+    for bad in (math.nan, -0.1):
+        with pytest.raises(ValueError):
+            kraus_single(p, bad)
+        with pytest.raises(ValueError):
+            apply_correlated(rho, p, bad)
+        for mu in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError):
+                apply_memory(rho, p, bad, mu)
 
 
 def test_cp_violation_small_time():
@@ -305,6 +363,25 @@ def test_integrate_master_dt_bound():
     p = SgadParams(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_master(np.eye(8) / 8, LindbladSpec("correlated", p), 1.0, 0.5)
+    # backwards, unbounded or undefined times and nonpositive steps
+    for t_final, dt in ((-1.0, 0.003), (math.nan, 0.003), (math.inf, 0.003),
+                        (1.0, -1.0), (1.0, 0.0), (1.0, math.nan)):
+        for mode in ("correlated", "uncorrelated"):
+            with pytest.raises(ValueError):
+                integrate_master(make_pure("w"), LindbladSpec(mode, p), t_final, dt)
+
+
+def test_integrate_master_matches_stepped_reference():
+    # the operator-form generator stepped one RK4 step at a time pins the
+    # Liouvillian's vec convention and the powering of the step matrix
+    n = 0.7
+    p = SgadParams(1.0, n, 0.8 * math.sqrt(n * (n + 1.0)))
+    dt = 0.01 / (2.0 * n + 1.0)
+    stack = np.array(random_states(8, 4))
+    for mode in ("uncorrelated", "correlated"):
+        spec = LindbladSpec(mode, p)
+        ref = reference_rk4(stack, spec, 1.0, dt)  # 240 steps
+        assert np.abs(integrate_master(stack, spec, 1.0, dt) - ref).max() < 1e-12
 
 
 def test_integrate_master_batch_lockstep():
@@ -332,6 +409,9 @@ def test_choi_uncorrelated_single_positive_and_unit_trace():
     assert c.shape == (4, 4)
     assert np.linalg.eigvalsh(c)[0] > -1e-10
     assert abs(np.trace(c).real - 1.0) < 1e-12
+    ops = kraus_single(p, 1.0)
+    ref = choi_from_definition(lambda e: sum(k @ e @ k.conj().T for k in ops), 2)
+    assert np.abs(c - ref).max() < 1e-14
 
 
 def test_choi_correlated_3q_positive():
@@ -341,6 +421,8 @@ def test_choi_correlated_3q_positive():
         assert c.shape == (64, 64)
         assert np.linalg.eigvalsh(c)[0] > -1e-10
         assert abs(np.trace(c).real - 1.0) < 1e-12
+        ref = choi_from_definition(lambda e: apply_correlated(e, p, t), 8)
+        assert np.abs(c - ref).max() < 1e-14
 
 
 def test_choi_memory_mixture():
@@ -349,6 +431,9 @@ def test_choi_memory_mixture():
     cc = choi_matrix(p, 1.0, "memory-3q", mu=1.0)
     cm = choi_matrix(p, 1.0, "memory-3q", mu=0.3)
     assert np.abs(cm - (0.7 * cu + 0.3 * cc)).max() < 1e-14
+    assert admissible(p, 1.0)
+    ref = choi_from_definition(lambda e: apply_memory(e, p, 1.0, 0.3), 8)
+    assert np.abs(cm - ref).max() < 1e-14
 
 
 def test_choi_clamps_with_warning_outside_domain():

@@ -143,6 +143,17 @@ def test_gmn_input_errors(tmp_path, capsys):
     assert code == 2  # neither file nor family
 
 
+def test_non_finite_channel_inputs_are_input_errors(capsys):
+    code, out, err = run(capsys, ["asymptotic", "--family", "ghz1", "--n", "nan",
+                                  "--mu", "0.5"])
+    assert code == 2 and out == ""
+    assert "input error" in err and "n=nan" in err
+    code, _, err = run(capsys, ["evolve", "--family", "ghz1", "--n", "1", "--mu", "0.5",
+                                "--omega-t", "nan"])
+    assert code == 2
+    assert "input error: t must be nonnegative" in err
+
+
 def test_invalid_state_rejected(tmp_path, capsys):
     path = tmp_path / "unnormalized.json"
     save_state(path, np.eye(8))  # trace 8
