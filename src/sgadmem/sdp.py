@@ -26,9 +26,15 @@ decides whether the solve converges.
 
 Problem sizes here are tiny: the witness program passes twelve 8x8
 Hermitian blocks and 256 rows together with a strictly feasible start in
-closed form. Everything is dense and the Schur complement is rebuilt every
-iteration. Rows are not screened, so they must be linearly independent
-(the Schur complement of dependent rows is singular).
+closed form. Each block touches only the rows whose coefficient matrix is
+nonzero in it (128 or 64 of the 256 in the witness program), so the Schur
+complement, rebuilt every iteration, adds each block's products over those
+rows alone (Fujisawa, Kojima & Nakata, Math. Program. 79, 235 (1997)), and
+A and its adjoint run over the same rows. The Schur complement itself is
+dense. Blocks of one size are held as one (k, d, d) stack, so the NT
+scaling, centrality, step length and the W R W products run once per size
+rather than once per block. Rows are not screened, so they must be linearly
+independent (the Schur complement of dependent rows is singular).
 """
 
 from dataclasses import dataclass, field
@@ -57,7 +63,11 @@ class SdpProblem:
     b: real right-hand side vector (m,).
 
     Construction checks the shapes and the Hermiticity of every coefficient
-    matrix.
+    matrix, and records for each block the rows whose coefficient matrix is
+    nonzero (rows[b]) with conj(A_i) flattened for those rows only
+    (Aconj[b], shape (len(rows[b]), d_b^2)); every product with A runs over
+    these rows alone. Blocks of one size form a stack: stacks holds the
+    block indices of each size, in order of first appearance.
     """
 
     def __init__(self, block_dims, C, A, b):
@@ -68,6 +78,7 @@ class SdpProblem:
         if len(self.C) != len(self.block_dims) or len(self.A) != len(self.block_dims):
             raise ValueError("C and A must have one entry per block")
         m = self.b.size
+        self.rows, self.Aconj = [], []
         for d, c, a in zip(self.block_dims, self.C, self.A):
             if c.shape != (d, d):
                 raise ValueError(f"objective block shape {c.shape} != ({d},{d})")
@@ -77,19 +88,37 @@ class SdpProblem:
                 raise ValueError("objective block is not Hermitian")
             if m and np.abs(a - _h(a)).max() > SYM_TOL:
                 raise ValueError("constraint coefficient block is not Hermitian")
+            flat = a.reshape(m, d * d)
+            rows = np.flatnonzero(np.any(flat != 0, axis=1))
+            self.rows.append(rows)
+            self.Aconj.append(flat[rows].conj())
+        dims = np.array(self.block_dims)
+        self.stacks = [np.flatnonzero(dims == d) for d in dict.fromkeys(self.block_dims)]
 
-    # -- operator A and its adjoint ------------------------------------
+    # -- operator A and its adjoint, on blocks in block order -------------
 
     def apply(self, X):
         # tr(A_i X) = sum conj(A_i) * X for Hermitian A_i
         out = np.zeros(self.b.size)
-        for a, x in zip(self.A, X):
-            out += (a.reshape(self.b.size, -1).conj() @ x.ravel()).real
+        for rows, aconj, x in zip(self.rows, self.Aconj, X):
+            out[rows] += (aconj @ x.ravel()).real
         return out
 
     def adjoint(self, y):
-        return [_sym((a.reshape(self.b.size, -1).T @ y).reshape(d, d))
-                for a, d in zip(self.A, self.block_dims)]
+        return [_sym((y[rows] @ aconj).conj().reshape(d, d))
+                for rows, aconj, d in zip(self.rows, self.Aconj, self.block_dims)]
+
+    # -- blocks in block order <-> one (k, d, d) array per stack ----------
+
+    def stack(self, blocks):
+        return [np.array([blocks[b] for b in idx]) for idx in self.stacks]
+
+    def unstack(self, stacked):
+        blocks = [None] * len(self.block_dims)
+        for idx, z in zip(self.stacks, stacked):
+            for b, block in zip(idx, z):
+                blocks[b] = block
+        return blocks
 
 
 @dataclass
@@ -106,20 +135,20 @@ class SdpSolution:
 
 
 def _tr2(a, b):
-    # trace inner product tr(ab) of Hermitian matrices
+    # trace inner product tr(ab) of Hermitian matrices, summed over a stack
     return float(np.sum(a.conj() * b).real)
 
 
 def _nt_scaling(X, S):
-    """Nesterov-Todd scaling point W (W S W = X) plus S^{-1}, via eigensolves."""
+    """Nesterov-Todd scaling points W (W S W = X) plus S^{-1} of a stack, via eigensolves."""
     s, U = np.linalg.eigh(S)
-    s = np.maximum(s, 1e-300)
+    s = np.maximum(s, 1e-300)[..., None, :]
     Uh = _h(U)
     Shalf = (U * np.sqrt(s)) @ Uh
     Sinvhalf = (U / np.sqrt(s)) @ Uh
     T = _sym(Shalf @ X @ Shalf)
     t, V = np.linalg.eigh(T)
-    t = np.maximum(t, 1e-300)
+    t = np.maximum(t, 1e-300)[..., None, :]
     Thalf = (V * np.sqrt(t)) @ _h(V)
     W = _sym(Sinvhalf @ Thalf @ Sinvhalf)
     Sinv = (U / s) @ Uh
@@ -127,7 +156,7 @@ def _nt_scaling(X, S):
 
 
 def _centrality(X, S, mu):
-    """min_b lambda_min(L_b^H S_b L_b) / mu, where X_b = L_b L_b^H.
+    """min_b lambda_min(L_b^H S_b L_b) / mu over the stacks, where X_b = L_b L_b^H.
 
     Equals 1 on the central path and falls towards 0 as some product X_b S_b
     develops an eigenvalue far below the mean mu. An X_b without a Cholesky
@@ -139,19 +168,29 @@ def _centrality(X, S, mu):
             L = np.linalg.cholesky(x)
         except np.linalg.LinAlgError:
             return 0.0
-        lam = min(lam, np.linalg.eigvalsh(_h(L) @ s @ L)[0])
+        lam = min(lam, np.linalg.eigvalsh(_h(L) @ s @ L)[:, 0].min())
     return lam / mu
 
 
+def _ridged_cholesky(v):
+    try:
+        return np.linalg.cholesky(v)
+    except np.linalg.LinAlgError:
+        d = v.shape[0]
+        return np.linalg.cholesky(v + 1e-12 * np.trace(v).real / d * np.eye(d))
+
+
 def _max_step(V, D):
-    """Largest alpha with V + alpha D >= 0, for V > 0 (inf if D >= 0)."""
+    """Largest alpha with V_b + alpha D_b >= 0 for every block of a stack of
+    V_b > 0 (inf if every D_b >= 0). A V_b without a Cholesky factor gets a
+    trace ridge of 1e-12."""
     try:
         L = np.linalg.cholesky(V)
     except np.linalg.LinAlgError:
-        L = np.linalg.cholesky(V + 1e-12 * np.trace(V).real / V.shape[0] * np.eye(V.shape[0]))
+        L = np.array([_ridged_cholesky(v) for v in V])
     Y = np.linalg.solve(L, D)
     G = _sym(np.linalg.solve(L, _h(Y)))  # L^{-1} D L^{-H}
-    lam = np.linalg.eigvalsh(G)[0]
+    lam = np.linalg.eigvalsh(G)[:, 0].min()
     if lam >= 0.0:
         return np.inf
     return -1.0 / lam
@@ -174,32 +213,26 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
     fixed, not a parameter.
     """
     dims = problem.block_dims
-    nb = len(dims)
     m = problem.b.size
     total_dim = sum(dims)
     bnorm = 1.0 + np.linalg.norm(problem.b)
     cnorm = 1.0 + np.sqrt(sum(_tr2(c, c) for c in problem.C))
 
     if start is None:
-        X = [np.eye(d) for d in dims]
-        S = [np.eye(d) for d in dims]
-        y = np.zeros(m)
-    else:
-        X0, y0, S0 = start
-        X = [np.array(x) for x in X0]
-        S = [np.array(s) for s in S0]
-        y = np.asarray(y0, dtype=float).copy()
-
-    # conj(A_i) flattened, so that tr(A_i V) = (Aconj @ V.ravel()).real
-    Aconj = [a.reshape(m, -1).conj() for a in problem.A]
+        start = ([np.eye(d) for d in dims], np.zeros(m), [np.eye(d) for d in dims])
+    X0, y0, S0 = start
+    # every block quantity below is a list with one (k, d, d) array per stack
+    stack, unstack = problem.stack, problem.unstack
+    C, X, S = stack(problem.C), stack(X0), stack(S0)
+    y = np.asarray(y0, dtype=float).copy()
     history = []
     status = "max-iterations"
     it = 0
 
     for it in range(max_iter + 1):
-        rp = problem.b - problem.apply(X)
-        Rd = [c - aj - s for c, aj, s in zip(problem.C, problem.adjoint(y), S)]
-        pobj = sum(_tr2(c, x) for c, x in zip(problem.C, X))
+        rp = problem.b - problem.apply(unstack(X))
+        Rd = [c - aj - s for c, aj, s in zip(C, stack(problem.adjoint(y)), S)]
+        pobj = sum(_tr2(c, x) for c, x in zip(C, X))
         dobj = float(problem.b @ y)
         gap = sum(_tr2(x, s) for x, s in zip(X, S))
         pinf = np.linalg.norm(rp) / bnorm
@@ -217,12 +250,13 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
 
         mu = gap / total_dim
         try:
-            Ws, Sinvs = zip(*[_nt_scaling(X[b], S[b]) for b in range(nb)])
-            # Schur complement M_ij = sum_b tr(A_i W A_j W)
+            Ws, Sinvs = zip(*[_nt_scaling(x, s) for x, s in zip(X, S)])
+            # Schur complement M_ij = sum_b Re tr(A_i W_b A_j W_b), over the
+            # rows of block b only
             M = np.zeros((m, m))
-            for b in range(nb):
-                WAW = np.einsum("ij,kjl,lm->kim", Ws[b], problem.A[b], Ws[b], optimize=True)
-                M += (Aconj[b] @ WAW.reshape(m, -1).T).real
+            for w, rows, aconj, d in zip(unstack(Ws), problem.rows, problem.Aconj, dims):
+                WAW = w @ aconj.conj().reshape(-1, d, d) @ w
+                M[np.ix_(rows, rows)] += (aconj @ WAW.reshape(rows.size, -1).T).real
             M = _sym(M)
             ridge = 0.0
             for attempt in range(4):
@@ -241,49 +275,44 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
 
             def direction(V):
                 # Delta X + W Delta S W = V,  Delta S = Rd - A* Delta y
-                base = [V[b] - _sym(Ws[b] @ Rd[b] @ Ws[b]) for b in range(nb)]
-                rhs = rp - problem.apply(base)
+                base = [v - _sym(w @ r @ w) for v, w, r in zip(V, Ws, Rd)]
+                rhs = rp - problem.apply(unstack(base))
                 dy = solve_schur(rhs)
-                Ady = problem.adjoint(dy)
-                dS = [Rd[b] - Ady[b] for b in range(nb)]
-                dX = [base[b] + _sym(Ws[b] @ Ady[b] @ Ws[b]) for b in range(nb)]
+                Ady = stack(problem.adjoint(dy))
+                dS = [r - a for r, a in zip(Rd, Ady)]
+                dX = [bs + _sym(w @ a @ w) for bs, w, a in zip(base, Ws, Ady)]
                 return dX, dy, dS
 
             if _centrality(X, S, mu) < CENTRALITY_MIN:
                 # pure centering: aim at the central point with the same mu
-                V = [mu * Sinvs[b] - X[b] for b in range(nb)]
+                V = [mu * si - x for si, x in zip(Sinvs, X)]
             else:
                 # predictor (affine scaling)
-                V_aff = [-X[b] for b in range(nb)]
-                dXa, dya, dSa = direction(V_aff)
-                ap = min([1.0] + [0.98 * _max_step(X[b], dXa[b]) for b in range(nb)])
-                ad = min([1.0] + [0.98 * _max_step(S[b], dSa[b]) for b in range(nb)])
-                gap_aff = sum(
-                    _tr2(X[b] + ap * dXa[b], S[b] + ad * dSa[b]) for b in range(nb)
-                )
+                dXa, dya, dSa = direction([-x for x in X])
+                ap = min([1.0] + [0.98 * _max_step(x, dx) for x, dx in zip(X, dXa)])
+                ad = min([1.0] + [0.98 * _max_step(s, ds) for s, ds in zip(S, dSa)])
+                gap_aff = sum(_tr2(x + ap * dx, s + ad * ds)
+                              for x, dx, s, ds in zip(X, dXa, S, dSa))
                 sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
 
                 # corrector with Mehrotra second-order term
-                V = []
-                for b in range(nb):
-                    corr = dXa[b] @ dSa[b] @ Sinvs[b]
-                    V.append(sigma * mu * Sinvs[b] - X[b] - _sym(corr))
+                V = [sigma * mu * si - x - _sym(dx @ ds @ si)
+                     for si, x, dx, ds in zip(Sinvs, X, dXa, dSa)]
             dX, dy, dS = direction(V)
-            ap = min([1.0] + [0.98 * _max_step(X[b], dX[b]) for b in range(nb)])
-            ad = min([1.0] + [0.98 * _max_step(S[b], dS[b]) for b in range(nb)])
+            ap = min([1.0] + [0.98 * _max_step(x, dx) for x, dx in zip(X, dX)])
+            ad = min([1.0] + [0.98 * _max_step(s, ds) for s, ds in zip(S, dS)])
             if ap < 1e-12 and ad < 1e-12:
                 status = "numerical-failure"
                 break
-            for b in range(nb):
-                X[b] = _sym(X[b] + ap * dX[b])
-                S[b] = _sym(S[b] + ad * dS[b])
+            X = [_sym(x + ap * dx) for x, dx in zip(X, dX)]
+            S = [_sym(s + ad * ds) for s, ds in zip(S, dS)]
             y = y + ad * dy
         except np.linalg.LinAlgError:
             status = "numerical-failure"
             break
 
     return SdpSolution(
-        X=X, y=y, S=S,
+        X=unstack(X), y=y, S=unstack(S),
         primal_obj=history[-1][0], dual_obj=history[-1][1], gap=history[-1][2],
         status=status, iterations=it, history=history,
     )

@@ -44,6 +44,30 @@ def test_validate_json_report(capsys):
     assert len(report["checks"]) == 4
 
 
+def test_validate_reports_each_inadmissible_time_and_runs_the_rest(capsys):
+    # Omega*t = 0.5 has no operator set at n = 1, m = 0.5; 1 and 5 have
+    code, out, _ = run(capsys, ["validate", "--n", "1", "--m", "0.5",
+                                "--omega-t", "0.5,1,5", "--format", "json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    failed = [c for c in report["checks"] if c["check"] == "admissibility"]
+    assert len(failed) == 1 and "Omega*t=0.5" in failed[0]["error"]
+    ran = {c["check"]: c["pass"] for c in report["checks"] if c["check"] != "admissibility"}
+    assert ran == {"kraus-completeness": True, "choi-positivity": True,
+                   "correlated-vs-integrator": True,
+                   "uncorrelated-populations-vs-integrator": True}
+
+
+def test_validate_rejects_value_lists(capsys):
+    code, out, err = run(capsys, ["validate", "--n", "1,0", "--m", "0",
+                                  "--omega-t", "1,5"])
+    assert code == 2 and out == ""
+    assert "input error" in err and "--n" in err
+    code, _, err = run(capsys, ["validate", "--n", "1", "--m", "0,0.1"])
+    assert code == 2 and "--m" in err
+
+
 # -- evolve ---------------------------------------------------------------------
 
 def test_evolve_dfs_constant_gmn(capsys):
@@ -67,6 +91,16 @@ def test_evolve_rows_carry_error_markers(capsys):
     lines = out.strip().splitlines()
     assert "cp-violation" in lines[1]
     assert lines[2].split(",")[-1] == "optimal"
+
+
+def test_evolve_rejects_value_lists(capsys):
+    code, out, err = run(capsys, ["evolve", "--family", "w", "--mu", "0.2,0.9",
+                                  "--omega-t", "1"])
+    assert code == 2 and out == ""
+    assert "input error" in err and "--mu" in err
+    code, _, err = run(capsys, ["evolve", "--family", "w", "--m", "0,0.1",
+                                "--omega-t", "1"])
+    assert code == 2 and "--m" in err
 
 
 # -- asymptotic sweep -------------------------------------------------------------
@@ -143,6 +177,12 @@ def test_gmn_input_errors(tmp_path, capsys):
     assert code == 2  # neither file nor family
 
 
+def test_gmn_rejects_value_lists(capsys):
+    code, out, err = run(capsys, ["gmn", "--family", "ghz1", "--alpha", "0.5,0.7"])
+    assert code == 2 and out == ""
+    assert "input error" in err and "--alpha" in err
+
+
 def test_non_finite_channel_inputs_are_input_errors(capsys):
     code, out, err = run(capsys, ["asymptotic", "--family", "ghz1", "--n", "nan",
                                   "--mu", "0.5"])
@@ -184,6 +224,16 @@ def test_scan_exits_3_on_non_optimal_probe(capsys):
                                 "--grid", "0.3:0.6:0.05", "--tol", "1e-16"])
     assert code == 3
     assert "status = optimal" not in out
+
+
+def test_scan_rejects_value_lists(capsys):
+    code, out, err = run(capsys, ["scan", "--family", "ghz1", "--scan", "alpha",
+                                  "--grid", "0.3:0.6", "--n", "1,2"])
+    assert code == 2 and out == ""
+    assert "input error" in err and "--n" in err
+    code, _, err = run(capsys, ["scan", "--family", "ghz2", "--scan", "mu",
+                                "--asymptotic", "--grid", "0:1", "--mu", "0.1,0.2"])
+    assert code == 2 and "--mu" in err
 
 
 def test_entry_point_runs():

@@ -125,22 +125,35 @@ def test_gmn_report_invariants():
         assert abs(expect - (-report.value / 2.0)) <= 1e-6
 
 
-# Solves pure W, pure W-tilde and the n = 1, mu = 1 asymptote of W (the
-# correlated map leaves W's inner block alone, so it is the same program)
-# and prints {name: [status, value]} as JSON.
+# Solves pure W, pure W-tilde, the n = 1, mu = 1 asymptote of W (the
+# correlated map leaves W's inner block alone, so it is the same program) and
+# ghz2 at alpha = 0.7091 in a fixed random local frame (complex, no
+# Z-symmetry, NPT on every cut), and prints {name: [status, value]} as JSON.
 W_FAMILY_PROBE = """
 import json
+import numpy as np
 from sgadmem.channel import SgadParams, asymptotic_state
-from sgadmem.states import make_pure
+from sgadmem.states import make_noisy, make_pure
 from sgadmem.witness import gmn
+rng = np.random.default_rng(2011)
+us = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(3)]
+u = np.kron(np.kron(us[0], us[1]), us[2])
 states = {
     "w": make_pure("w"),
     "wtilde": make_pure("wtilde"),
     "w_asymptotic": asymptotic_state(make_pure("w"), SgadParams(1.0, 1.0, 0.0), 1.0),
+    "ghz2_frame": u @ make_noisy("ghz2", alpha=0.7091) @ u.conj().T,
 }
 reports = {name: gmn(rho) for name, rho in states.items()}
 print(json.dumps({name: [r.status, r.value] for name, r in reports.items()}))
 """
+# name -> (expected value, tolerance)
+W_FAMILY_EXPECTED = {
+    "w": (0.885618, 5e-4),
+    "wtilde": (0.885618, 5e-4),
+    "w_asymptotic": (0.885618, 5e-4),
+    "ghz2_frame": ((7 * 0.7091 - 3) / 4, 1e-6),  # GHZ-diagonal: twice the antidiagonal margin
+}
 
 
 def test_w_family_solves_independent_of_blas_threads():
@@ -157,11 +170,12 @@ def test_w_family_solves_independent_of_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         results[threads] = json.loads(proc.stdout)
-    for name in results["1"]:
+    assert set(results["1"]) == set(W_FAMILY_EXPECTED)
+    for name, (expected, tol) in W_FAMILY_EXPECTED.items():
         for threads, res in results.items():
             status, value = res[name]
             assert status == "optimal", f"{name} at {threads} BLAS threads: {status}"
-            assert abs(value - 0.885618) <= 5e-4, f"{name} at {threads} BLAS threads: {value}"
+            assert abs(value - expected) <= tol, f"{name} at {threads} BLAS threads: {value}"
         assert abs(results["1"][name][1] - results["2"][name][1]) <= 1e-7, (
             f"{name}: {results['1'][name][1]!r} (1 thread) vs "
             f"{results['2'][name][1]!r} (2 threads)")
