@@ -13,9 +13,10 @@ are collected by index regardless of worker scheduling, and floats are
 rendered with a fixed 12-significant-digit format, so identical configs
 produce byte-identical files at any --workers value.
 
-Exit codes: 0 success, 1 validation failure, 2 input error, 3 solver
-trouble (some emitted row has a non-optimal solver status; rows are still
-written).
+Exit codes: 0 success, 1 validation failure, 2 input error or an option
+the subcommand does not read, 3 solver trouble (some emitted row has a
+non-optimal solver status, or a scan probe's gmn bracket straddles the
+threshold; rows are still written).
 """
 
 import argparse
@@ -274,14 +275,21 @@ def _run_asymptotic(args):
 def _run_gmn(args):
     rho = _state_from_args(args)
     report = gmn(rho, tol=args.tol)
-    print(f"gmn = {report.value:.9f}")
-    for label, v in report.negativities.items():
-        print(f"negativity {label} = {v:.9f}")
-    print(f"status = {report.status} (iterations {report.iterations}, "
-          f"gap {report.gap:.2e})")
+    if args.format == "json":
+        print(json.dumps({"value": report.value, "lower": report.lower,
+                          "upper": report.upper, "status": report.status,
+                          "iterations": report.iterations, "gap": report.gap,
+                          "negativities": report.negativities}, indent=2))
+    else:
+        print(f"gmn = {report.value:.9f}")
+        for label, v in report.negativities.items():
+            print(f"negativity {label} = {v:.9f}")
+        print(f"status = {report.status} (iterations {report.iterations}, "
+              f"gap {report.gap:.2e})")
     if args.out:
         save_state(args.out, report.witness)
-        print(f"witness written to {args.out}")
+        if args.format != "json":
+            print(f"witness written to {args.out}")
     return 0 if report.status == "optimal" else 3
 
 
@@ -314,6 +322,26 @@ def _run_scan(args):
     return 0 if result.status == "optimal" else 3
 
 
+# each option once; a subcommand takes only the options it reads
+OPTIONS = {
+    "--n": dict(type=_floats, default=[1.0],
+                help="bath occupation (comma list where a sweep applies)"),
+    "--m": dict(type=_floats, default=[0.0], help="squeezing parameter (default 0)"),
+    "--mu": dict(type=_floats, default=None, help="memory weight in [0,1]"),
+    "--alpha": dict(type=_floats, default=None, help="GHZ-family mixture weight(s)"),
+    "--beta": dict(type=_floats, default=None, help="W-family mixture weight(s)"),
+    "--family": dict(choices=sorted(FAMILIES), default=None),
+    "--omega-t": dict(type=_floats, default=[0.1, 1.0, 10.0],
+                      help="dimensionless time grid (comma list)"),
+    "--grid": dict(default=None, help="start:stop:step parameter grid (scan: LO:HI[:RES])"),
+    "--out": dict(default=None, help="output file (default stdout)"),
+    "--workers": dict(type=int, default=1),
+    "--tol": dict(type=float, default=1e-8, help="solver tolerance"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+}
+STATE = ("--family", "--alpha", "--beta")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="sgadmem",
@@ -321,37 +349,27 @@ def build_parser():
                     "multipartite entanglement measures.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, source=False):
-        sp.add_argument("--n", type=_floats, default=[1.0],
-                        help="bath occupation (comma list where a sweep applies)")
-        sp.add_argument("--m", type=_floats, default=[0.0],
-                        help="squeezing parameter (default 0)")
-        sp.add_argument("--mu", type=_floats, default=None,
-                        help="memory weight in [0,1]")
-        sp.add_argument("--alpha", type=_floats, default=None,
-                        help="GHZ-family mixture weight(s)")
-        sp.add_argument("--beta", type=_floats, default=None,
-                        help="W-family mixture weight(s)")
-        sp.add_argument("--family", choices=sorted(FAMILIES), default=None)
-        sp.add_argument("--omega-t", type=_floats, default=[0.1, 1.0, 10.0],
-                        help="dimensionless time grid (comma list)")
-        sp.add_argument("--grid", default=None,
-                        help="start:stop:step parameter grid (scan: LO:HI[:RES])")
-        sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    def subcommand(name, help, flags, source=False):
+        # no abbreviations: asymptotic has --mu but no --m, which would
+        # otherwise be read as --mu
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in flags:
+            sp.add_argument(flag, **OPTIONS[flag])
         if source:
             sp.add_argument("source", nargs="?", default=None,
                             help="JSON state file (alternative to --family)")
+        return sp
 
-    common(sub.add_parser("validate", help="channel self-checks"))
-    common(sub.add_parser("evolve", help="time-resolved measures"), source=True)
-    common(sub.add_parser("asymptotic", help="t -> inf parameter sweep"))
-    g = sub.add_parser("gmn", help="genuine negativity of one state")
-    common(g, source=True)
-    s = sub.add_parser("scan", help="bisect for a gmn threshold")
-    common(s)
+    subcommand("validate", "channel self-checks", ("--n", "--m", "--omega-t", "--format"))
+    subcommand("evolve", "time-resolved measures",
+               STATE + ("--n", "--m", "--mu", "--omega-t", "--tol", "--out", "--format"),
+               source=True)
+    subcommand("asymptotic", "t -> inf parameter sweep",
+               STATE + ("--n", "--mu", "--grid", "--workers", "--tol", "--out", "--format"))
+    subcommand("gmn", "genuine negativity of one state",
+               STATE + ("--tol", "--out", "--format"), source=True)
+    s = subcommand("scan", "bisect for a gmn threshold",
+                   STATE + ("--n", "--mu", "--grid", "--tol"))
     s.add_argument("--scan", choices=("alpha", "beta", "mu"), required=True)
     s.add_argument("--asymptotic", action="store_true",
                    help="probe t -> inf states instead of initial mixtures")

@@ -23,6 +23,15 @@ constraint skeleton; the program is assembled per state. Both sides have
 a strictly feasible start in closed form (W = I/2, Q_M = I/4), which keeps
 every iterate feasible and the duality gap nonnegative throughout.
 
+Every answer carries a bracket lower <= E <= upper built in closed form
+from feasible points of the two sides (in the spirit of Jansson, Chaykin &
+Keil, SIAM J. Numer. Anal. 46, 180 (2007)): any feasible witness gives a
+lower bound and, by weak duality, any feasible primal point an upper bound.
+A state that is PPT across one cut is a PPT mixture, so its E is 0
+(Jungnitsch, Moroder & Gühne, PRL 106, 190502 (2011)); gmn certifies that
+from the partial-transpose spectra it computes anyway and runs no
+interior-point iteration (see gmn).
+
 Also here: bipartite negativity and PPT checks, the antidiagonal
 coherence-vs-populations inequality for X-shaped states, its closed-form
 asymptotic-state specialization, and bisection threshold scans.
@@ -129,8 +138,13 @@ class GmnReport:
     """Outcome of the genuine-negativity program.
 
     value is E(rho) = max(0, -2 optimum) and satisfies tr(witness . rho) =
-    -value/2 whenever the state is detected. Results with status other than
-    "optimal" should not be trusted.
+    -value/2 whenever the state is detected. lower <= E <= upper is the
+    certified bracket of gmn: lower comes from a feasible witness and upper
+    from a feasible primal point, both in closed form. A state that is PPT
+    across some cut gets value 0.0, the zero matrix as witness, status
+    "optimal", 0 iterations and the bracket [0, 16 eps'] with gap 8 eps'
+    (see gmn). Results with status other than "optimal" should not be
+    trusted; their bracket still holds.
     """
     value: float
     witness: np.ndarray
@@ -139,17 +153,74 @@ class GmnReport:
     optimum: float
     gap: float
     iterations: int
+    lower: float
+    upper: float
+
+
+def _bracket(problem, sol, y0, rho, ppt_upper):
+    """Closed-form bounds lower <= E <= upper around an approximate solution.
+
+    lower: the final y may leave some slack block slightly indefinite. With
+    delta its worst negative eigenvalue over the twelve blocks and y0's
+    slacks all >= I/4, the mix y' = (1 - theta) y + theta y0 with
+    theta = delta / (delta + 1/4) is feasible, so E >= max(0, 2 b^T y').
+    upper: put the residual of the W rows, rho - sum_M (X1_M - X2_M), into
+    X1_A; set X3_M = (X1_M - X2_M)^{T_M} + X4_M, which clears the Q_M rows;
+    then shift each pair (X1_M, X2_M) and (X3_M, X4_M) by t I, which keeps
+    their difference, until both are PSD. The point is primal feasible, so
+    by weak duality E <= max(0, 2 sum_M tr(X2_M + X4_M)). The PPT point of
+    gmn is feasible too, so upper is at most ppt_upper; it stands in for a
+    side whose iterate is not finite.
+    """
+    lower, upper = 0.0, ppt_upper
+    slacks = np.array([c - a for c, a in zip(problem.C, problem.adjoint(sol.y))])
+    if np.isfinite(slacks).all():
+        delta = max(0.0, -float(np.linalg.eigvalsh(slacks)[:, 0].min()))
+        theta = delta / (delta + 0.25)
+        dual = (1.0 - theta) * float(problem.b @ sol.y) + theta * float(problem.b @ y0)
+        lower = max(0.0, 2.0 * dual)
+    X = np.array(sol.X).reshape(3, 4, 8, 8).transpose(1, 0, 2, 3).copy()
+    X1, X2, X3, X4 = X  # views: the repairs below write into X
+    X1[0] += rho - (X1 - X2).sum(axis=0)
+    for k, cut in enumerate(BIPARTITIONS):
+        X3[k] = partial_transpose(X1[k] - X2[k], cut) + X4[k]
+    if np.isfinite(X).all():
+        lam = np.linalg.eigvalsh(X)[..., 0]  # (4, 3): matrix, cut
+        shift = np.maximum(0.0, -np.minimum(lam[0::2], lam[1::2]))  # (X1, X2) and (X3, X4) per cut
+        pobj = float(np.trace(X2 + X4, axis1=1, axis2=2).real.sum()) + 8.0 * float(shift.sum())
+        upper = min(upper, max(0.0, 2.0 * pobj))
+    return lower, upper
 
 
 def gmn(rho, *, tol=1e-8, max_iter=100):
-    """Genuine negativity of a three-qubit state via the witness SDP."""
+    """Genuine negativity of a three-qubit state via the witness SDP.
+
+    The spectra of the three partial transposes give the negativities and
+    a PPT certificate. Let lambda be the largest smallest eigenvalue over
+    the cuts and eps' = max(0, -lambda). On the best cut M the point
+    X1_M = rho, X3_M = rho^{T_M} + eps' I, X4_M = eps' I (all other blocks
+    0) is primal feasible: sum_M (X1_M - X2_M) = rho and
+    (X1_M - X2_M)^{T_M} = X3_M - X4_M. Its objective tr(X4_M) = 8 eps'
+    gives E <= 16 eps', while y = 0 (W = 0, Q_M = 0) is dual feasible with
+    objective 0. So when lambda >= -eps with eps = tol/16, the answer is
+    value 0.0 with the zero matrix as witness, bracket [0, 16 eps'],
+    gap 8 eps', status "optimal" and 0 iterations: 16 eps' <= 16 eps = tol,
+    so the bracket is no wider than the tolerance asked of the solve it
+    replaces. Every other state is solved by the interior-point method and
+    then bracketed in closed form (see _bracket).
+    """
     rho = validate(rho)
+    spectra = np.linalg.eigvalsh(np.array([partial_transpose(rho, cut) for cut in BIPARTITIONS]))
+    negativities = {cut.label: max(0.0, float(np.abs(s).sum()) - 1.0)
+                    for cut, s in zip(BIPARTITIONS, spectra)}
+    eps_ppt = max(0.0, -float(spectra[:, 0].max()))
+    if eps_ppt <= tol / 16.0:
+        return GmnReport(value=0.0, witness=np.zeros((8, 8), dtype=complex),
+                         negativities=negativities, status="optimal", optimum=0.0,
+                         gap=8.0 * eps_ppt, iterations=0, lower=0.0, upper=16.0 * eps_ppt)
     problem, start = _witness_program(rho)
     sol = solve(problem, tol=tol, max_iter=max_iter, start=start)
-    negativities = {
-        cut.label: max(0.0, trace_norm(partial_transpose(rho, cut)) - 1.0)
-        for cut in BIPARTITIONS
-    }
+    lower, upper = _bracket(problem, sol, start[1], rho, 16.0 * eps_ppt)
     return GmnReport(
         value=max(0.0, 2.0 * sol.dual_obj),
         witness=np.einsum("k,kab->ab", sol.y[:64], _hermitian_basis()),
@@ -158,6 +229,8 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
         optimum=-sol.dual_obj,
         gap=sol.gap,
         iterations=sol.iterations,
+        lower=lower,
+        upper=upper,
     )
 
 
@@ -250,9 +323,14 @@ def threshold_scan(family, scan, bracket, *, n=1.0, mu=None, alpha=None,
     dependence, so m is not a parameter here. If gmn - eps has the same
     sign at both ends the result has found=False and boundary=nan, which is
     a no-threshold outcome rather than an error. Otherwise the boundary is
-    bisected to within `resolution`. status is the solver status of the
-    first probe that did not end "optimal", or "optimal" if all did; a
-    non-optimal probe may have decided a bisection step.
+    bisected to within `resolution`.
+
+    Each probe is decided by its gmn bracket: lower > eps is above the
+    threshold and upper <= eps below. A probe whose bracket straddles eps
+    is "undecided" and falls back on value > eps. status is the status of
+    the first probe that was not an "optimal", decided one (its solver
+    status, or "undecided"), or "optimal" if every probe was; such a probe
+    may have decided a bisection step.
     """
     if scan not in ("alpha", "beta", "mu"):
         raise ValueError('scan must be "alpha", "beta" or "mu"')
@@ -261,7 +339,8 @@ def threshold_scan(family, scan, bracket, *, n=1.0, mu=None, alpha=None,
 
     statuses = []
 
-    def gmn_at(v):
+    def probe(v):
+        """(value, above eps) at v."""
         weights = {"alpha": alpha, "beta": beta}
         if scan in weights:
             weights[scan] = v
@@ -271,19 +350,20 @@ def threshold_scan(family, scan, bracket, *, n=1.0, mu=None, alpha=None,
             mu_v = v if scan == "mu" else mu
             state = asymptotic_state(state, SgadParams(1.0, float(n), 0.0), float(mu_v))
         report = gmn(state, tol=tol)
-        statuses.append(report.status)
-        return report.value
+        decided = report.lower > eps or report.upper <= eps
+        statuses.append(report.status if report.status != "optimal" or decided
+                        else "undecided")
+        return report.value, report.lower > eps if decided else report.value > eps
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    lo_value = gmn_at(lo)
-    hi_value = gmn_at(hi)
-    lo_pos = lo_value > eps
-    found = lo_pos != (hi_value > eps)
+    lo_value, lo_pos = probe(lo)
+    hi_value, hi_pos = probe(hi)
+    found = lo_pos != hi_pos
     while found and hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if (gmn_at(mid) > eps) == lo_pos:
+        if probe(mid)[1] == lo_pos:
             lo = mid
         else:
             hi = mid

@@ -158,6 +158,23 @@ def test_gmn_family_and_witness_export(tmp_path, capsys):
     assert abs(expect - (-value / 2.0)) <= 1e-6
 
 
+def test_gmn_json_format(capsys):
+    code, out, _ = run(capsys, ["gmn", "--family", "ghz1", "--alpha", "0.5",
+                                "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert set(report) == {"value", "lower", "upper", "status", "iterations", "gap",
+                           "negativities"}
+    assert report["status"] == "optimal" and report["iterations"] > 0
+    assert report["lower"] <= 0.125 <= report["upper"]
+    assert set(report["negativities"]) == {"A|BC", "B|AC", "C|AB"}
+    code, out, _ = run(capsys, ["gmn", "--family", "ghz1", "--alpha", "0.2",
+                                "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["value"] == 0.0 and report["iterations"] == 0
+
+
 def test_gmn_matrix_file(tmp_path, capsys):
     path = tmp_path / "mixed.json"
     save_state(path, np.eye(8) / 8.0)
@@ -247,4 +264,18 @@ def test_entry_point_runs():
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["asymptotic", "--format", "yaml"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--family", "ghz1"],
+    ["evolve", "--family", "ghz1", "--workers", "2"],
+    ["asymptotic", "--family", "ghz1", "--m", "0.5"],
+    ["gmn", "--family", "ghz1", "--n", "5"],
+    ["scan", "--family", "ghz1", "--scan", "alpha", "--grid", "0.3:0.6", "--omega-t", "1"],
+], ids=lambda argv: argv[0])
+def test_unread_option_is_a_usage_error(argv):
+    # each subcommand accepts only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2

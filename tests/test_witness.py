@@ -10,9 +10,12 @@ import pytest
 import sgadmem
 from sgadmem.channel import SgadParams, asymptotic_state
 from sgadmem.linalg import BIPARTITIONS, CUT_A, hermitian_eigenvalues, partial_transpose, tensor
-from sgadmem.states import make_noisy, make_pure
+from sgadmem.sdp import solve
+from sgadmem.states import make_noisy, make_pure, validate
 from sgadmem.witness import (
     XSTATE_PAIRS,
+    _bracket,
+    _witness_program,
     asymptotic_ghz1_criterion,
     gmn,
     is_ppt,
@@ -133,7 +136,7 @@ W_FAMILY_PROBE = """
 import json
 import numpy as np
 from sgadmem.channel import SgadParams, asymptotic_state
-from sgadmem.states import make_noisy, make_pure
+from sgadmem.states import make_noisy, make_pure, validate
 from sgadmem.witness import gmn
 rng = np.random.default_rng(2011)
 us = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(3)]
@@ -186,6 +189,81 @@ def test_gmn_ghz_werner_values():
     report = gmn(make_noisy("ghz1", alpha=0.5))
     # twice the antidiagonal margin: 2 (alpha/2 - 3(1-alpha)/8)
     assert abs(report.value - 0.125) <= 1e-6
+
+
+def test_gmn_bracket_contains_analytic_values():
+    cases = [(make_pure("ghz1"), 1.0, 0.0)]
+    for alpha in (0.5, 0.7091, 0.9):
+        # twice the antidiagonal margin of the GHZ-noise mixture
+        cases.append((make_noisy("ghz1", alpha=alpha), (7 * alpha - 3) / 4, 0.0))
+    # the W anchor is rounded to 6 decimals: the bracket must meet its window
+    cases.append((make_pure("w"), 0.885618, 5e-7))
+    for rho, exact, rounding in cases:
+        report = gmn(rho)
+        assert report.status == "optimal"
+        assert report.lower <= report.value <= report.upper
+        assert report.lower - rounding <= exact <= report.upper + rounding, (
+            f"{exact} outside [{report.lower!r}, {report.upper!r}]")
+
+
+def test_gmn_bracket_width():
+    rng = np.random.default_rng(2011)
+    u = tensor(*[np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                 for _ in range(3)])
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    v /= np.linalg.norm(v)
+    states = {
+        "ghz1": make_pure("ghz1"),
+        "w": make_pure("w"),
+        "w_beta_0.5": make_noisy("w", beta=0.5),
+        "ghz2_frame": u @ make_noisy("ghz2", alpha=0.7091) @ u.conj().T,
+        "random_60_noise": 0.4 * np.outer(v, v.conj()) + 0.6 * np.eye(8) / 8,
+    }
+    for name, rho in states.items():
+        report = gmn(rho)
+        assert report.status == "optimal" and report.iterations > 0, name
+        assert 0.0 <= report.upper - report.lower <= 1e-6, (
+            f"{name}: [{report.lower!r}, {report.upper!r}]")
+
+
+def test_ppt_short_circuit_agrees_with_full_solve():
+    product = np.zeros((8, 8), dtype=complex)
+    product[0, 0] = 1.0
+    states = [product, make_noisy("ghz1", alpha=0.2)]
+    states += [asymptotic_state(make_pure("ghz1"), SgadParams(1.0, 1.0, 0.0), mu)
+               for mu in (0.0, 0.5, 1.0)]  # the README sweep
+    states.append(asymptotic_state(make_pure("ghz1"), SgadParams(1.0, 100.0, 0.0), 0.6))
+    for rho in states:
+        report = gmn(rho)
+        assert report.value == 0.0 and report.iterations == 0
+        assert report.status == "optimal" and report.lower == 0.0
+        assert report.upper <= 1e-8
+        assert not report.witness.any()
+        problem, start = _witness_program(rho)
+        sol = solve(problem, start=start)
+        assert sol.status == "optimal"
+        assert max(0.0, 2.0 * sol.dual_obj) <= 1e-8
+
+
+def test_npt_state_runs_the_solver():
+    rho = make_noisy("ghz1", alpha=0.25)
+    eps = 1e-8 / 16  # the short-circuit's threshold at the default tol
+    for cut in BIPARTITIONS:
+        assert hermitian_eigenvalues(partial_transpose(rho, cut))[0] < -eps
+    report = gmn(rho)
+    assert report.status == "optimal" and report.iterations > 0
+    assert report.lower <= 1e-8  # (7 alpha - 3)/4 < 0: not detected
+
+
+def test_bracket_of_a_non_finite_iterate():
+    # a solve that breaks on a non-finite objective returns its last iterate;
+    # each side of the bracket then falls back on its closed-form point
+    rho = validate(make_noisy("ghz1", alpha=0.5))
+    problem, start = _witness_program(rho)
+    sol = solve(problem, start=start, max_iter=2)
+    sol.X[5][0, 0] = np.nan
+    sol.y[70] = np.nan
+    assert _bracket(problem, sol, start[1], rho, 0.7) == (0.0, 0.7)
 
 
 def test_gmn_status_propagation():
@@ -353,3 +431,10 @@ def test_threshold_scan_memory_boundary():
     assert result.found
     assert abs(result.boundary - 0.9628) <= 2e-3
     assert result.hi_value > 1e-6 and result.lo_value <= 1e-6
+
+
+def test_threshold_scan_undecided_probe():
+    # the first probe has E = (7 * 0.5 - 3)/4 = 0.125 exactly, so its bracket
+    # straddles eps
+    result = threshold_scan("ghz1", "alpha", (0.5, 0.7), eps=0.125)
+    assert result.status == "undecided"
