@@ -38,7 +38,7 @@ from .channel import (
     integrate_master,
     kraus_single,
 )
-from .linalg import BIPARTITIONS, hermitian_eigenvalues, partial_transpose, trace_norm
+from .linalg import hermitian_eigenvalues
 from .states import FAMILIES, StateValidationError, load_state, make_noisy, make_pure, save_state
 from .witness import XSTATE_PAIRS, gmn, threshold_scan, xstate_criterion
 
@@ -99,6 +99,15 @@ def _single(values, option):
     return values[0]
 
 
+def _weights(args, family):
+    """Name and values of the mixture weight of family (alpha for GHZ, beta
+    for W). Giving the other family's weight is an input error."""
+    weight, other = ("alpha", "beta") if family.startswith("ghz") else ("beta", "alpha")
+    if getattr(args, other) is not None:
+        raise ValueError(f"--{other} does not apply to {family}, which takes --{weight}")
+    return weight, getattr(args, weight)
+
+
 def _state_from_args(args):
     """Initial state from --family (+ --alpha/--beta) or a file path."""
     if getattr(args, "source", None):
@@ -106,15 +115,9 @@ def _state_from_args(args):
     if not args.family:
         raise ValueError("need --family or a state file")
     family = args.family.lower()
-    if family.startswith("ghz"):
-        alpha = _single(args.alpha, "alpha")
-        if alpha is None or alpha == 1.0:
-            return make_pure(family)
-        return make_noisy(family, alpha=alpha)
-    beta = _single(args.beta, "beta")
-    if beta is None or beta == 0.0:
-        return make_pure(family)
-    return make_noisy(family, beta=beta)
+    weight, values = _weights(args, family)
+    value = _single(values, weight)
+    return make_pure(family) if value is None else make_noisy(family, **{weight: value})
 
 
 def _measure_row(rho, tol):
@@ -234,12 +237,9 @@ def _run_evolve(args):
 # -- asymptotic sweep ------------------------------------------------------
 
 def _sweep_point(task):
-    family, param, n, mu, tol = task
+    family, weight, param, n, mu, tol = task
     try:
-        if family.startswith("ghz"):
-            rho0 = make_pure(family) if param == 1.0 else make_noisy(family, alpha=param)
-        else:
-            rho0 = make_pure(family) if param == 0.0 else make_noisy(family, beta=param)
+        rho0 = make_noisy(family, **{weight: param})
         rho = asymptotic_state(rho0, SgadParams(1.0, n, 0.0), mu)
         vals = _measure_row(rho, tol)
     except (CpViolationError, StateValidationError, ValueError) as exc:
@@ -252,14 +252,12 @@ def _run_asymptotic(args):
     if not args.family:
         raise ValueError("need --family")
     family = args.family.lower()
-    if family.startswith("ghz"):
-        weights = args.alpha if args.alpha else [1.0]
-    else:
-        weights = args.beta if args.beta else [0.0]
+    weight, values = _weights(args, family)
+    weights = values or [1.0 if weight == "alpha" else 0.0]  # the pure state
     for n in args.n:
         SgadParams(1.0, n, 0.0)  # a bad --n is an input error (exit 2), not a sweep of error rows
     mus = _grid(args.grid) if args.grid else (args.mu if args.mu else _grid("0:1:0.01"))
-    tasks = [(family, w, n, mu, args.tol) for w in weights for n in args.n for mu in mus]
+    tasks = [(family, weight, w, n, mu, args.tol) for w in weights for n in args.n for mu in mus]
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, tasks, chunksize=8))

@@ -24,6 +24,16 @@ central path drives the NT scaling and the Schur complement towards
 singularity, after which rounding (for instance the BLAS thread count)
 decides whether the solve converges.
 
+Each iteration factors every block once, X_b = Lx Lx^H and S_b = Ls Ls^H,
+inverts both factors and takes one SVD Ls^H Lx = U Sigma V^H (Todd, Toh &
+Tutuncu, SIAM J. Optim. 8, 769 (1998)). Everything else follows: the NT
+point W = G G^H with G = Lx V Sigma^{-1/2}, so that W S W = X; S^{-1} =
+Ls^{-H} Ls^{-1}; the centrality min Sigma^2 / mu, because Lx^H S Lx =
+(Ls^H Lx)^H (Ls^H Lx); and the step length to the boundary of
+V + alpha D >= 0 from lambda_min(L^{-1} D L^{-H}). A block without a
+Cholesky factor is factored with a trace ridge of 1e-12 and scores
+centrality 0.
+
 Problem sizes here are tiny: the witness program passes twelve 8x8
 Hermitian blocks and 256 rows together with a strictly feasible start in
 closed form. Each block touches only the rows whose coefficient matrix is
@@ -139,37 +149,14 @@ def _tr2(a, b):
     return float(np.sum(a.conj() * b).real)
 
 
-def _nt_scaling(X, S):
-    """Nesterov-Todd scaling points W (W S W = X) plus S^{-1} of a stack, via eigensolves."""
-    s, U = np.linalg.eigh(S)
-    s = np.maximum(s, 1e-300)[..., None, :]
-    Uh = _h(U)
-    Shalf = (U * np.sqrt(s)) @ Uh
-    Sinvhalf = (U / np.sqrt(s)) @ Uh
-    T = _sym(Shalf @ X @ Shalf)
-    t, V = np.linalg.eigh(T)
-    t = np.maximum(t, 1e-300)[..., None, :]
-    Thalf = (V * np.sqrt(t)) @ _h(V)
-    W = _sym(Sinvhalf @ Thalf @ Sinvhalf)
-    Sinv = (U / s) @ Uh
-    return W, _sym(Sinv)
-
-
-def _centrality(X, S, mu):
-    """min_b lambda_min(L_b^H S_b L_b) / mu over the stacks, where X_b = L_b L_b^H.
-
-    Equals 1 on the central path and falls towards 0 as some product X_b S_b
-    develops an eigenvalue far below the mean mu. An X_b without a Cholesky
-    factor sits on the boundary of the cone and scores 0.
-    """
-    lam = np.inf
-    for x, s in zip(X, S):
-        try:
-            L = np.linalg.cholesky(x)
-        except np.linalg.LinAlgError:
-            return 0.0
-        lam = min(lam, np.linalg.eigvalsh(_h(L) @ s @ L)[:, 0].min())
-    return lam / mu
+def _factor(V):
+    """Cholesky factors V_b = L_b L_b^H of a stack of V_b > 0, and whether
+    every block had one. A V_b without a Cholesky factor gets a trace ridge
+    of 1e-12."""
+    try:
+        return np.linalg.cholesky(V), True
+    except np.linalg.LinAlgError:
+        return np.array([_ridged_cholesky(v) for v in V]), False
 
 
 def _ridged_cholesky(v):
@@ -180,20 +167,25 @@ def _ridged_cholesky(v):
         return np.linalg.cholesky(v + 1e-12 * np.trace(v).real / d * np.eye(d))
 
 
-def _max_step(V, D):
-    """Largest alpha with V_b + alpha D_b >= 0 for every block of a stack of
-    V_b > 0 (inf if every D_b >= 0). A V_b without a Cholesky factor gets a
-    trace ridge of 1e-12."""
-    try:
-        L = np.linalg.cholesky(V)
-    except np.linalg.LinAlgError:
-        L = np.array([_ridged_cholesky(v) for v in V])
-    Y = np.linalg.solve(L, D)
-    G = _sym(np.linalg.solve(L, _h(Y)))  # L^{-1} D L^{-H}
-    lam = np.linalg.eigvalsh(G)[:, 0].min()
-    if lam >= 0.0:
-        return np.inf
-    return -1.0 / lam
+def _scaling(X, S):
+    """NT points W, S^{-1}, min_b lambda_min(Lx_b^H S_b Lx_b) and the inverse
+    factors Lx^{-1}, Ls^{-1} of a stack, from one Cholesky pair and one SVD
+    (see the module docstring). The third value is 0 if a block of X or S
+    has no Cholesky factor."""
+    (Lx, x_ok), (Ls, s_ok) = _factor(X), _factor(S)
+    Lsi = np.linalg.inv(Ls)
+    _, sv, Vh = np.linalg.svd(_h(Ls) @ Lx)
+    G = (Lx @ _h(Vh)) / np.sqrt(sv)[..., None, :]
+    lam = sv[:, -1].min() ** 2 if x_ok and s_ok else 0.0
+    return _sym(G @ _h(G)), _sym(_h(Lsi) @ Lsi), lam, np.linalg.inv(Lx), Lsi
+
+
+def _max_step(Linv, D):
+    """Largest alpha with V_b + alpha D_b >= 0 for every block of a stack,
+    given the inverse Cholesky factors of V_b = L_b L_b^H (inf if every
+    D_b >= 0): -1 / lambda_min(L_b^{-1} D_b L_b^{-H})."""
+    lam = np.linalg.eigvalsh(_sym(Linv @ D @ _h(Linv)))[:, 0].min()
+    return np.inf if lam >= 0.0 else -1.0 / lam
 
 
 def solve(problem, tol=1e-8, max_iter=100, start=None):
@@ -205,7 +197,8 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
     non-optimal exits still return the last iterate.
 
     Every iteration steps 0.98 of the way to the boundary of the cone. When
-    the centrality min_b lambda_min(L_b^H S_b L_b) / mu (X_b = L_b L_b^H)
+    the centrality min_b lambda_min(Lx_b^H S_b Lx_b) / mu (X_b = Lx_b Lx_b^H),
+    read off the singular values of Ls_b^H Lx_b that also give the NT point,
     is below the module constant CENTRALITY_MIN, the step is a pure
     centering step (sigma = 1, no Mehrotra term) that pulls the iterate
     back towards the central path before the gap is reduced further;
@@ -250,7 +243,7 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
 
         mu = gap / total_dim
         try:
-            Ws, Sinvs = zip(*[_nt_scaling(x, s) for x, s in zip(X, S)])
+            Ws, Sinvs, lams, Lxi, Lsi = zip(*[_scaling(x, s) for x, s in zip(X, S)])
             # Schur complement M_ij = sum_b Re tr(A_i W_b A_j W_b), over the
             # rows of block b only
             M = np.zeros((m, m))
@@ -283,14 +276,14 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
                 dX = [bs + _sym(w @ a @ w) for bs, w, a in zip(base, Ws, Ady)]
                 return dX, dy, dS
 
-            if _centrality(X, S, mu) < CENTRALITY_MIN:
+            if min(lams) / mu < CENTRALITY_MIN:
                 # pure centering: aim at the central point with the same mu
                 V = [mu * si - x for si, x in zip(Sinvs, X)]
             else:
                 # predictor (affine scaling)
                 dXa, dya, dSa = direction([-x for x in X])
-                ap = min([1.0] + [0.98 * _max_step(x, dx) for x, dx in zip(X, dXa)])
-                ad = min([1.0] + [0.98 * _max_step(s, ds) for s, ds in zip(S, dSa)])
+                ap = min([1.0] + [0.98 * _max_step(li, dx) for li, dx in zip(Lxi, dXa)])
+                ad = min([1.0] + [0.98 * _max_step(li, ds) for li, ds in zip(Lsi, dSa)])
                 gap_aff = sum(_tr2(x + ap * dx, s + ad * ds)
                               for x, dx, s, ds in zip(X, dXa, S, dSa))
                 sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
@@ -299,8 +292,8 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
                 V = [sigma * mu * si - x - _sym(dx @ ds @ si)
                      for si, x, dx, ds in zip(Sinvs, X, dXa, dSa)]
             dX, dy, dS = direction(V)
-            ap = min([1.0] + [0.98 * _max_step(x, dx) for x, dx in zip(X, dX)])
-            ad = min([1.0] + [0.98 * _max_step(s, ds) for s, ds in zip(S, dS)])
+            ap = min([1.0] + [0.98 * _max_step(li, dx) for li, dx in zip(Lxi, dX)])
+            ad = min([1.0] + [0.98 * _max_step(li, ds) for li, ds in zip(Lsi, dS)])
             if ap < 1e-12 and ad < 1e-12:
                 status = "numerical-failure"
                 break

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from .linalg import HERM_TOL, hermitian_eigenvalues
+from .linalg import HERM_TOL
 
 PSD_TOL = 1e-9
 

@@ -137,20 +137,19 @@ def _witness_program(rho):
 class GmnReport:
     """Outcome of the genuine-negativity program.
 
-    value is E(rho) = max(0, -2 optimum) and satisfies tr(witness . rho) =
-    -value/2 whenever the state is detected. lower <= E <= upper is the
-    certified bracket of gmn: lower comes from a feasible witness and upper
-    from a feasible primal point, both in closed form. A state that is PPT
-    across some cut gets value 0.0, the zero matrix as witness, status
-    "optimal", 0 iterations and the bracket [0, 16 eps'] with gap 8 eps'
-    (see gmn). Results with status other than "optimal" should not be
-    trusted; their bracket still holds.
+    value is E(rho) = max(0, -2 min tr(W rho)) over the witnesses W of the
+    program, and satisfies tr(witness . rho) = -value/2 whenever the state is
+    detected. lower <= E <= upper is the certified bracket of gmn: lower
+    comes from a feasible witness and upper from a feasible primal point,
+    both in closed form. A state that is PPT across some cut gets value 0.0,
+    the zero matrix as witness, status "optimal", 0 iterations and the
+    bracket [0, 16 eps'] with gap 8 eps' (see gmn). Results with status other
+    than "optimal" should not be trusted; their bracket still holds.
     """
     value: float
     witness: np.ndarray
     negativities: dict
     status: str
-    optimum: float
     gap: float
     iterations: int
     lower: float
@@ -216,7 +215,7 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
     eps_ppt = max(0.0, -float(spectra[:, 0].max()))
     if eps_ppt <= tol / 16.0:
         return GmnReport(value=0.0, witness=np.zeros((8, 8), dtype=complex),
-                         negativities=negativities, status="optimal", optimum=0.0,
+                         negativities=negativities, status="optimal",
                          gap=8.0 * eps_ppt, iterations=0, lower=0.0, upper=16.0 * eps_ppt)
     problem, start = _witness_program(rho)
     sol = solve(problem, tol=tol, max_iter=max_iter, start=start)
@@ -226,7 +225,6 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
         witness=np.einsum("k,kab->ab", sol.y[:64], _hermitian_basis()),
         negativities=negativities,
         status=sol.status,
-        optimum=-sol.dual_obj,
         gap=sol.gap,
         iterations=sol.iterations,
         lower=lower,

@@ -200,6 +200,18 @@ def test_gmn_rejects_value_lists(capsys):
     assert "input error" in err and "--alpha" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gmn", "--family", "ghz1", "--beta", "0.3"],
+    ["evolve", "--family", "w", "--alpha", "0.5", "--omega-t", "1"],
+    ["asymptotic", "--family", "w", "--alpha", "0.5", "--n", "1", "--mu", "0.5"],
+], ids=lambda argv: argv[0])
+def test_weight_of_the_other_family_is_an_input_error(capsys, argv):
+    # GHZ families take --alpha and W families --beta, as in scan
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "input error" in err and argv[3] in err
+
+
 def test_non_finite_channel_inputs_are_input_errors(capsys):
     code, out, err = run(capsys, ["asymptotic", "--family", "ghz1", "--n", "nan",
                                   "--mu", "0.5"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sgadmem.channel import SgadParams, asymptotic_state
-from sgadmem.sdp import CENTRALITY_MIN, SdpProblem, solve
+from sgadmem.sdp import CENTRALITY_MIN, SdpProblem, _max_step, _scaling, solve
 from sgadmem.states import make_noisy, make_pure
 from sgadmem.witness import _witness_program
 
@@ -192,6 +192,43 @@ def test_solve_matches_per_block_reference():
         status, dual_obj, _ = reference_solve(problem, start=start)
         assert sol.status == status == "optimal"
         assert abs(sol.dual_obj - dual_obj) <= 1e-8
+
+
+def random_pd_stack(rng, k, d, cond):
+    # eigenvalues from 1 down to 1/cond, evenly in log scale, in random complex frames
+    q, _ = np.linalg.qr(rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d)))
+    a = (q * np.logspace(0, -np.log10(cond), d)) @ q.conj().swapaxes(-1, -2)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def test_factor_kernel_matches_eigh_reference():
+    # The NT point, S^{-1}, centrality and step length from one Cholesky pair
+    # and one SVD, against the eigh formulas of reference_solve. With X and S
+    # both at cond 1e10 the eigh W is itself off by up to 90 %, so there only
+    # W S W = X is checked.
+    rng = np.random.default_rng(13)
+
+    def rel(a, b):
+        return np.abs(a - b).max() / np.abs(b).max()
+
+    mu = 0.3
+    for cond_x, cond_s in [(1e2, 1e2), (1e10, 1e2), (1e10, 1e10)]:
+        X, S = random_pd_stack(rng, 6, 8, cond_x), random_pd_stack(rng, 6, 8, cond_s)
+        W, Sinv, lam, Lxi, Lsi = _scaling(X, S)
+        assert rel(W @ S @ W, X) <= 1e-12
+        if cond_s > 1e2:
+            continue
+        refs = [_ref_nt_scaling(x, s) for x, s in zip(X, S)]
+        assert rel(W, np.array([w for w, _ in refs])) <= 1e-9
+        assert rel(Sinv, np.array([si for _, si in refs])) <= 1e-10
+        assert abs(lam / mu - _ref_centrality(X, S, mu)) <= 1e-10 * _ref_centrality(X, S, mu)
+        D = np.array([rand_herm(rng, 8) for _ in range(6)])
+        for V, Linv in ((X, Lxi), (S, Lsi)):
+            ref = min(_ref_max_step(v, dv) for v, dv in zip(V, D))
+            assert abs(_max_step(Linv, D) - ref) <= 1e-10 * ref
+    # an X block without a Cholesky factor scores centrality 0
+    X[0] = np.diag([1.0] * 7 + [0.0])
+    assert _scaling(X, S)[2] == 0.0
 
 
 def assert_matches_reference(problem, sol):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,16 @@ def test_bracket_of_a_non_finite_iterate():
     sol.X[5][0, 0] = np.nan
     sol.y[70] = np.nan
     assert _bracket(problem, sol, start[1], rho, 0.7) == (0.0, 0.7)
+
+
+def test_unreachable_tolerance_raises_no_warning():
+    # tol = 1e-16 is below rounding: the solve ends non-optimal, but without
+    # overflow or invalid values, and its bracket still holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = gmn(make_noisy("ghz1", alpha=0.45), tol=1e-16)
+    assert report.status != "optimal"
+    assert report.lower <= (7 * 0.45 - 3) / 4 <= report.upper
 
 
 def test_gmn_status_propagation():
