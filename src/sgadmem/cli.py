@@ -237,15 +237,9 @@ def _run_evolve(args):
 # -- asymptotic sweep ------------------------------------------------------
 
 def _sweep_point(task):
-    family, weight, param, n, mu, tol = task
-    try:
-        rho0 = make_noisy(family, **{weight: param})
-        rho = asymptotic_state(rho0, SgadParams(1.0, n, 0.0), mu)
-        vals = _measure_row(rho, tol)
-    except (CpViolationError, StateValidationError, ValueError) as exc:
-        return (family, param, n, mu, None, None, None, None, None,
-                f"error({exc.__class__.__name__})")
-    return (family, param, n, mu, *vals)
+    family, param, rho0, n, mu, tol = task
+    rho = asymptotic_state(rho0, SgadParams(1.0, n, 0.0), mu)
+    return (family, param, n, mu, *_measure_row(rho, tol))
 
 
 def _run_asymptotic(args):
@@ -254,10 +248,16 @@ def _run_asymptotic(args):
     family = args.family.lower()
     weight, values = _weights(args, family)
     weights = values or [1.0 if weight == "alpha" else 0.0]  # the pure state
+    # a bad weight, --n or mu is an input error (exit 2), not a sweep of error rows
+    states = [make_noisy(family, **{weight: w}) for w in weights]
     for n in args.n:
-        SgadParams(1.0, n, 0.0)  # a bad --n is an input error (exit 2), not a sweep of error rows
+        SgadParams(1.0, n, 0.0)
     mus = _grid(args.grid) if args.grid else (args.mu if args.mu else _grid("0:1:0.01"))
-    tasks = [(family, weight, w, n, mu, args.tol) for w in weights for n in args.n for mu in mus]
+    for mu in mus:
+        if not 0.0 <= mu <= 1.0:
+            raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    tasks = [(family, w, rho0, n, mu, args.tol)
+             for w, rho0 in zip(weights, states) for n in args.n for mu in mus]
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, tasks, chunksize=8))

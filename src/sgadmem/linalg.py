@@ -45,18 +45,19 @@ def tensor(*ops):
 
 
 def partial_transpose(rho, cut):
-    """Transpose the indices of ``cut.party`` in an 8x8 three-qubit matrix.
+    """Transpose the indices of ``cut.party`` in an 8x8 three-qubit matrix,
+    or in each matrix of a (..., 8, 8) stack.
 
     Involution; preserves Hermiticity, trace and Frobenius norm.
     """
     rho = np.asarray(rho)
-    if rho.shape != (8, 8):
-        raise ValueError(f"partial_transpose expects an 8x8 matrix, got {rho.shape}")
-    t = rho.reshape((2, 2, 2, 2, 2, 2))
-    axes = list(range(6))
+    if rho.shape[-2:] != (8, 8):
+        raise ValueError(f"partial_transpose expects 8x8 matrices, got {rho.shape}")
+    t = rho.reshape(rho.shape[:-2] + (2,) * 6)
+    axes = list(range(t.ndim))
     for q in cut.party:
-        axes[q], axes[q + 3] = axes[q + 3], axes[q]
-    return t.transpose(axes).reshape(8, 8)
+        axes[q - 6], axes[q - 3] = axes[q - 3], axes[q - 6]
+    return t.transpose(axes).reshape(rho.shape)
 
 
 def hermitian_eigenvalues(h):

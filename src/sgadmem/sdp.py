@@ -15,14 +15,13 @@ and eigensolve uses conjugate transposes, so real problems run the same
 code and complex ones need no real embedding.
 
 Solved with a primal-dual interior-point method: Nesterov-Todd scaling,
-Mehrotra predictor-corrector, dense Cholesky of the Schur complement,
-0.98 step to the boundary, and a pure centering step (sigma = 1, no
-Mehrotra term) whenever the centrality min_b lambda_min(L_b^H S_b L_b) / mu
-(X_b = L_b L_b^H, mu = tr(XS) / sum_b d_b) drops below the fixed constant
-CENTRALITY_MIN. Without that fallback an iterate that drifts off the
-central path drives the NT scaling and the Schur complement towards
-singularity, after which rounding (for instance the BLAS thread count)
-decides whether the solve converges.
+Mehrotra predictor-corrector, 0.98 step to the boundary, and a pure
+centering step (sigma = 1, no Mehrotra term) whenever the centrality
+min_b lambda_min(L_b^H S_b L_b) / mu (X_b = L_b L_b^H, mu = tr(XS) /
+sum_b d_b) drops below the fixed constant CENTRALITY_MIN. Without that
+fallback an iterate that drifts off the central path drives the NT scaling
+and the Schur complement towards singularity, after which rounding (for
+instance the BLAS thread count) decides whether the solve converges.
 
 Each iteration factors every block once, X_b = Lx Lx^H and S_b = Ls Ls^H,
 inverts both factors and takes one SVD Ls^H Lx = U Sigma V^H (Todd, Toh &
@@ -40,11 +39,14 @@ closed form. Each block touches only the rows whose coefficient matrix is
 nonzero in it (128 or 64 of the 256 in the witness program), so the Schur
 complement, rebuilt every iteration, adds each block's products over those
 rows alone (Fujisawa, Kojima & Nakata, Math. Program. 79, 235 (1997)), and
-A and its adjoint run over the same rows. The Schur complement itself is
-dense. Blocks of one size are held as one (k, d, d) stack, so the NT
-scaling, centrality, step length and the W R W products run once per size
-rather than once per block. Rows are not screened, so they must be linearly
-independent (the Schur complement of dependent rows is singular).
+A and its adjoint run over the same rows. The Schur complement M itself
+is dense. Its Cholesky factorization only tests that M is positive definite
+and sets the ridge added to it; each direction is then one LU solve of the
+ridged M, because numpy has no triangular solve. Blocks of one size are
+held as one (k, d, d) stack, so the NT scaling, centrality, step length and
+the W R W products run once per size rather than once per block. Rows are
+not screened, so they must be linearly independent (the Schur complement of
+dependent rows is singular).
 """
 
 from dataclasses import dataclass, field
@@ -253,8 +255,9 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
             M = _sym(M)
             ridge = 0.0
             for attempt in range(4):
+                Mr = M + ridge * np.eye(m)
                 try:
-                    L = np.linalg.cholesky(M + ridge * np.eye(m))
+                    np.linalg.cholesky(Mr)
                     break
                 except np.linalg.LinAlgError:
                     ridge = max(ridge * 100, 1e-12 * (np.trace(M) / m + 1.0))
@@ -262,15 +265,11 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
                 status = "numerical-failure"
                 break
 
-            def solve_schur(rhs):
-                z = np.linalg.solve(L, rhs)
-                return np.linalg.solve(L.T, z)
-
             def direction(V):
                 # Delta X + W Delta S W = V,  Delta S = Rd - A* Delta y
                 base = [v - _sym(w @ r @ w) for v, w, r in zip(V, Ws, Rd)]
                 rhs = rp - problem.apply(unstack(base))
-                dy = solve_schur(rhs)
+                dy = np.linalg.solve(Mr, rhs)
                 Ady = stack(problem.adjoint(dy))
                 dS = [r - a for r, a in zip(Rd, Ady)]
                 dX = [bs + _sym(w @ a @ w) for bs, w, a in zip(base, Ws, Ady)]

@@ -118,7 +118,7 @@ def _witness_program(rho):
     eye = np.eye(8)
     A, C, X0 = [], [], []
     for k, cut in enumerate(BIPARTITIONS):
-        Ht = np.array([partial_transpose(h, cut) for h in H])
+        Ht = partial_transpose(H, cut)
 
         def rows(w, q):
             return np.concatenate([w] + [q if j == k else zero for j in range(3)])
@@ -334,6 +334,8 @@ def threshold_scan(family, scan, bracket, *, n=1.0, mu=None, alpha=None,
         raise ValueError('scan must be "alpha", "beta" or "mu"')
     if scan == "mu" and not asymptotic:
         raise ValueError("scanning mu requires asymptotic=True")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution}")
 
     statuses = []
 

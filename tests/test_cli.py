@@ -212,6 +212,19 @@ def test_weight_of_the_other_family_is_an_input_error(capsys, argv):
     assert "input error" in err and argv[3] in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["asymptotic", "--family", "ghz1", "--alpha", "1.5", "--n", "1", "--mu", "0.5"],
+    ["asymptotic", "--family", "ghz1", "--n", "1", "--mu", "1.5"],
+    ["asymptotic", "--family", "ghz1", "--n", "1", "--grid", "0.5:2:0.5"],
+    ["scan", "--family", "ghz1", "--scan", "alpha", "--grid", "0.6:0.9:0"],
+], ids=["alpha", "mu", "mu-grid", "scan-resolution"])
+def test_out_of_range_input_is_an_input_error(capsys, argv):
+    # checked before any row is computed, as gmn and evolve do
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "input error" in err
+
+
 def test_non_finite_channel_inputs_are_input_errors(capsys):
     code, out, err = run(capsys, ["asymptotic", "--family", "ghz1", "--n", "nan",
                                   "--mu", "0.5"])

@@ -79,6 +79,16 @@ def test_partial_transpose_product_state_identity():
 def test_partial_transpose_rejects_wrong_shape():
     with pytest.raises(ValueError):
         partial_transpose(np.eye(4), CUT_A)
+    with pytest.raises(ValueError):
+        partial_transpose(np.zeros((8, 8, 4)), CUT_A)
+
+
+def test_partial_transpose_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(5)
+    stack = np.array([random_state(rng) for _ in range(5)])
+    for cut in BIPARTITIONS:
+        expected = np.array([partial_transpose(rho, cut) for rho in stack])
+        assert np.array_equal(partial_transpose(stack, cut), expected)
 
 
 def test_hermitian_eigenvalues_sorted_and_checked():

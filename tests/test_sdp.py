@@ -179,6 +179,8 @@ def test_solve_matches_per_block_reference():
     states = [
         make_pure("w"),
         make_pure("wtilde"),
+        make_noisy("w", beta=0.2),
+        make_noisy("w", beta=0.4),
         make_noisy("w", beta=0.5),
         random_local_frame(rng, make_noisy("ghz2", alpha=0.7091)),
         0.4 * np.outer(v, v.conj()) + 0.6 * np.eye(8) / 8,

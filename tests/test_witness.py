@@ -427,6 +427,10 @@ def test_threshold_scan_validation():
         threshold_scan("ghz1", "mu", (0.0, 1.0))  # mu needs asymptotic=True
     with pytest.raises(ValueError):
         threshold_scan("ghz1", "alpha", (0.9, 0.3))
+    for resolution in (0.0, -1.0, math.nan):
+        # (0.6, 0.9) has no sign change, so a scan that probed would return
+        with pytest.raises(ValueError, match="resolution"):
+            threshold_scan("ghz1", "alpha", (0.6, 0.9), resolution=resolution)
 
 
 def test_threshold_scan_no_sign_change():
