@@ -22,6 +22,7 @@ threshold; rows are still written).
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 
 import numpy as np
@@ -75,12 +76,21 @@ def _floats(text):
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _grid_parts(text, counts, form):
+    """The finite numbers of a colon-separated --grid with one of `counts`
+    parts; `form` names the expected layout in the error message."""
+    parts = text.split(":")
+    if len(parts) not in counts:
+        raise ValueError(f"grid must be {form}, got {text}")
+    values = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid values must be finite, got {text}")
+    return values
+
+
 def _grid(text):
     """start:stop:step inclusive grid (endpoint kept within half a step)."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("grid must be start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = _grid_parts(text, (3,), "start:stop:step")
     if step <= 0 or stop < start:
         raise ValueError("grid needs step > 0 and stop >= start")
     count = int(round((stop - start) / step))
@@ -245,6 +255,10 @@ def _sweep_point(task):
 def _run_asymptotic(args):
     if not args.family:
         raise ValueError("need --family")
+    if args.mu is not None and args.grid is not None:
+        raise ValueError("give --mu or --grid, not both")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     family = args.family.lower()
     weight, values = _weights(args, family)
     weights = values or [1.0 if weight == "alpha" else 0.0]  # the pure state
@@ -258,8 +272,10 @@ def _run_asymptotic(args):
             raise ValueError(f"mu must lie in [0, 1], got {mu}")
     tasks = [(family, w, rho0, n, mu, args.tol)
              for w, rho0 in zip(weights, states) for n in args.n for mu in mus]
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a fork-started pool forks every worker on the first submit
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks, chunksize=8))
     else:
         rows = [_sweep_point(t) for t in tasks]
@@ -298,11 +314,8 @@ def _run_scan(args):
         raise ValueError("need --family")
     if not args.grid:
         raise ValueError("need --grid LO:HI for the bracket")
-    parts = args.grid.split(":")
-    if len(parts) < 2:
-        raise ValueError("bracket must be LO:HI or LO:HI:RESOLUTION")
-    lo, hi = float(parts[0]), float(parts[1])
-    resolution = float(parts[2]) if len(parts) > 2 else 1e-3
+    lo, hi, *rest = _grid_parts(args.grid, (2, 3), "LO:HI or LO:HI:RESOLUTION")
+    resolution = rest[0] if rest else 1e-3
     result = threshold_scan(
         args.family.lower(), args.scan, (lo, hi),
         n=_single(args.n, "n"), mu=_single(args.mu, "mu"),

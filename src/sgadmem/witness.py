@@ -114,23 +114,20 @@ def _witness_program(rho):
     equality constraints since tr(H^{T_M} rho) = tr(H rho^{T_M}).
     """
     H = _hermitian_basis()
-    zero = np.zeros_like(H)
     eye = np.eye(8)
-    A, C, X0 = [], [], []
+    # A[k, j, q]: block j of cut k, on the rows of W (q = 0) and of Q_A, Q_B, Q_C
+    A = np.zeros((3, 4, 4, 64, 8, 8), dtype=complex)
+    X0 = np.empty((3, 4, 8, 8), dtype=complex)
     for k, cut in enumerate(BIPARTITIONS):
         Ht = partial_transpose(H, cut)
-
-        def rows(w, q):
-            return np.concatenate([w] + [q if j == k else zero for j in range(3)])
-
-        A += [rows(-H, Ht), rows(H, -Ht), rows(zero, -H), rows(zero, H)]
-        C += [0 * eye, eye, 0 * eye, eye]
-        X0 += [rho / 3 + eye / 2, eye / 2, partial_transpose(rho, cut) / 3 + eye / 2, eye / 2]
+        A[k, :2, 0] = -H, H
+        A[k, :, k + 1] = Ht, -Ht, -H, H
+        X0[k] = rho / 3 + eye / 2, eye / 2, partial_transpose(rho, cut) / 3 + eye / 2, eye / 2
+    C = np.array([0 * eye, eye, 0 * eye, eye] * 3)
     b = np.concatenate([-_coords(rho), np.zeros(192)])
-    problem = SdpProblem([8] * 12, C, A, b)
+    problem = SdpProblem([8] * 12, C, A.reshape(12, 256, 8, 8), b)
     y0 = np.concatenate([_coords(eye / 2)] + [_coords(eye / 4)] * 3)
-    S0 = [c - a for c, a in zip(problem.C, problem.adjoint(y0))]
-    return problem, (X0, y0, S0)
+    return problem, (X0.reshape(12, 8, 8), y0, problem.C - problem.adjoint(y0))
 
 
 @dataclass
@@ -172,13 +169,13 @@ def _bracket(problem, sol, y0, rho, ppt_upper):
     side whose iterate is not finite.
     """
     lower, upper = 0.0, ppt_upper
-    slacks = np.array([c - a for c, a in zip(problem.C, problem.adjoint(sol.y))])
+    slacks = problem.C - problem.adjoint(sol.y)
     if np.isfinite(slacks).all():
         delta = max(0.0, -float(np.linalg.eigvalsh(slacks)[:, 0].min()))
         theta = delta / (delta + 0.25)
         dual = (1.0 - theta) * float(problem.b @ sol.y) + theta * float(problem.b @ y0)
         lower = max(0.0, 2.0 * dual)
-    X = np.array(sol.X).reshape(3, 4, 8, 8).transpose(1, 0, 2, 3).copy()
+    X = sol.X.reshape(3, 4, 8, 8).transpose(1, 0, 2, 3).copy()
     X1, X2, X3, X4 = X  # views: the repairs below write into X
     X1[0] += rho - (X1 - X2).sum(axis=0)
     for k, cut in enumerate(BIPARTITIONS):
@@ -206,8 +203,11 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
     gap 8 eps', status "optimal" and 0 iterations: 16 eps' <= 16 eps = tol,
     so the bracket is no wider than the tolerance asked of the solve it
     replaces. Every other state is solved by the interior-point method and
-    then bracketed in closed form (see _bracket).
+    then bracketed in closed form (see _bracket). tol must be finite and
+    positive.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     rho = validate(rho)
     spectra = np.linalg.eigvalsh(np.array([partial_transpose(rho, cut) for cut in BIPARTITIONS]))
     negativities = {cut.label: max(0.0, float(np.abs(s).sum()) - 1.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sgadmem.channel import SgadParams, asymptotic_state
+from sgadmem import cli
 from sgadmem.cli import main
 from sgadmem.states import load_state, make_noisy, make_pure, save_state
 from sgadmem.witness import gmn
@@ -223,6 +224,45 @@ def test_out_of_range_input_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert "input error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--family", "ghz1", "--scan", "alpha", "--grid", "0.6:0.9:0.05:junk"],
+    ["asymptotic", "--family", "ghz1", "--n", "1", "--grid", "0:inf:0.5"],
+    ["asymptotic", "--family", "ghz1", "--n", "1", "--mu", "0.3", "--grid", "0:1:0.5"],
+    ["gmn", "--family", "w", "--tol", "nan"],
+    ["gmn", "--family", "ghz1", "--alpha", "0.2", "--tol", "-1"],
+    ["asymptotic", "--family", "ghz1", "--n", "1", "--mu", "0.5", "--workers", "0"],
+], ids=["scan-grid-parts", "grid-inf", "mu-and-grid", "tol-nan", "tol-negative", "workers-0"])
+def test_malformed_input_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "input error" in err
+
+
+def test_worker_pool_is_sized_by_the_task_count(monkeypatch, capsys):
+    # a fake pool: asking for more workers than tasks must not fork them all
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    args = ["asymptotic", "--family", "ghz1", "--n", "1", "--workers", "64"]
+    assert run(capsys, args + ["--grid", "0:1:0.5"])[0] == 0
+    assert sizes == [3]
+    assert run(capsys, args + ["--mu", "0.5"])[0] == 0
+    assert sizes == [3]  # one task runs without a pool
 
 
 def test_non_finite_channel_inputs_are_input_errors(capsys):

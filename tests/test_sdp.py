@@ -263,9 +263,9 @@ def test_min_eigenvalue_20_random():
 
 def test_two_blocks_min_eig():
     rng = np.random.default_rng(1)
-    c1, c2 = sym(rng.normal(size=(3, 3))), sym(rng.normal(size=(4, 4)))
-    prob = SdpProblem([3, 4], [c1, c2],
-                      [np.eye(3)[None], np.eye(4)[None]], [1.0])
+    c1, c2 = sym(rng.normal(size=(4, 4))), sym(rng.normal(size=(4, 4)))
+    prob = SdpProblem([4, 4], [c1, c2],
+                      [np.eye(4)[None], np.eye(4)[None]], [1.0])
     sol = solve(prob)
     target = min(np.linalg.eigvalsh(c1)[0], np.linalg.eigvalsh(c2)[0])
     assert abs(sol.primal_obj - target) < 1e-6
@@ -318,11 +318,11 @@ def test_weak_duality_every_iteration_from_feasible_start():
 
 def test_complementarity_at_optimum():
     rng = np.random.default_rng(4)
-    real = (sym(rng.normal(size=(4, 4))), sym(rng.normal(size=(3, 3))))
-    hermitian = (rand_herm(rng, 4), rand_herm(rng, 3))
+    real = (sym(rng.normal(size=(4, 4))), sym(rng.normal(size=(4, 4))))
+    hermitian = (rand_herm(rng, 4), rand_herm(rng, 4))
     for c1, c2 in (real, hermitian):
-        prob = SdpProblem([4, 3], [c1, c2],
-                          [np.eye(4)[None], np.eye(3)[None]], [1.0])
+        prob = SdpProblem([4, 4], [c1, c2],
+                          [np.eye(4)[None], np.eye(4)[None]], [1.0])
         sol = solve(prob)
         assert sol.status == "optimal"
         assert_matches_reference(prob, sol)
@@ -369,6 +369,17 @@ def test_data_validation():
         SdpProblem([2], [bad], [np.eye(2)[None]], [1.0])
     with pytest.raises(ValueError):
         SdpProblem([2], [np.eye(2)], [bad[None]], [1.0])
+    # every block has one size
+    with pytest.raises(ValueError, match="one size"):
+        SdpProblem([3, 4], [np.eye(3), np.eye(4)], [np.eye(3)[None], np.eye(4)[None]], [1.0])
+
+
+def test_tolerance_must_be_finite_and_positive():
+    prob = min_eig_problem(np.eye(3))
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            solve(prob, tol=tol)
+    assert solve(prob, tol=1e-16).iterations > 0
 
 
 def test_history_and_iterations_recorded():

@@ -267,6 +267,14 @@ def test_bracket_of_a_non_finite_iterate():
     assert _bracket(problem, sol, start[1], rho, 0.7) == (0.0, 0.7)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # a PPT state, which needs no solve, and an NPT one
+    for rho in (make_noisy("ghz1", alpha=0.2), make_pure("w")):
+        with pytest.raises(ValueError, match="tol"):
+            gmn(rho, tol=tol)
+
+
 def test_unreachable_tolerance_raises_no_warning():
     # tol = 1e-16 is below rounding: the solve ends non-optimal, but without
     # overflow or invalid values, and its bracket still holds
