@@ -72,8 +72,12 @@ def _emit(columns, rows, out, fmt):
         sys.stdout.write(text)
 
 
-def _floats(text):
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _floats(text, flag):
+    """The numbers of a comma list; an empty list or token is an input error."""
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"{flag} takes a comma list of numbers, got {text!r}")
+    return [float(tok) for tok in tokens]
 
 
 def _grid_parts(text, counts, form):
@@ -225,7 +229,7 @@ def _run_validate(args):
 def _run_evolve(args):
     rho0 = _state_from_args(args)
     params = SgadParams(1.0, _single(args.n, "n"), _single(args.m, "m"))
-    mu = _single(args.mu or [0.0], "mu")
+    mu = 0.0 if args.mu is None else _single(args.mu, "mu")
     rows = []
     solver_trouble = False
     for t in args.omega_t:
@@ -266,7 +270,10 @@ def _run_asymptotic(args):
     states = [make_noisy(family, **{weight: w}) for w in weights]
     for n in args.n:
         SgadParams(1.0, n, 0.0)
-    mus = _grid(args.grid) if args.grid else (args.mu if args.mu else _grid("0:1:0.01"))
+    if args.grid:
+        mus = _grid(args.grid)
+    else:
+        mus = args.mu if args.mu is not None else _grid("0:1:0.01")
     for mu in mus:
         if not 0.0 <= mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {mu}")
@@ -335,15 +342,13 @@ def _run_scan(args):
 
 # each option once; a subcommand takes only the options it reads
 OPTIONS = {
-    "--n": dict(type=_floats, default=[1.0],
-                help="bath occupation (comma list where a sweep applies)"),
-    "--m": dict(type=_floats, default=[0.0], help="squeezing parameter (default 0)"),
-    "--mu": dict(type=_floats, default=None, help="memory weight in [0,1]"),
-    "--alpha": dict(type=_floats, default=None, help="GHZ-family mixture weight(s)"),
-    "--beta": dict(type=_floats, default=None, help="W-family mixture weight(s)"),
+    "--n": dict(default=[1.0], help="bath occupation (comma list where a sweep applies)"),
+    "--m": dict(default=[0.0], help="squeezing parameter (default 0)"),
+    "--mu": dict(default=None, help="memory weight in [0,1]"),
+    "--alpha": dict(default=None, help="GHZ-family mixture weight(s)"),
+    "--beta": dict(default=None, help="W-family mixture weight(s)"),
     "--family": dict(choices=sorted(FAMILIES), default=None),
-    "--omega-t": dict(type=_floats, default=[0.1, 1.0, 10.0],
-                      help="dimensionless time grid (comma list)"),
+    "--omega-t": dict(default=[0.1, 1.0, 10.0], help="dimensionless time grid (comma list)"),
     "--grid": dict(default=None, help="start:stop:step parameter grid (scan: LO:HI[:RES])"),
     "--out": dict(default=None, help="output file (default stdout)"),
     "--workers": dict(type=int, default=1),
@@ -351,6 +356,9 @@ OPTIONS = {
     "--format": dict(choices=("csv", "json"), default="csv"),
 }
 STATE = ("--family", "--alpha", "--beta")
+# comma lists of numbers, read in main so that a malformed one is an input
+# error like any other
+FLOAT_LISTS = ("--n", "--m", "--mu", "--alpha", "--beta", "--omega-t")
 
 
 def build_parser():
@@ -397,6 +405,10 @@ def main(argv=None):
         "scan": _run_scan,
     }
     try:
+        for flag in FLOAT_LISTS:
+            dest = flag[2:].replace("-", "_")
+            if isinstance(getattr(args, dest, None), str):  # given, not the default
+                setattr(args, dest, _floats(getattr(args, dest), flag))
         return runners[args.command](args)
     except (StateValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

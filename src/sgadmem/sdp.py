@@ -33,20 +33,31 @@ V + alpha D >= 0 from lambda_min(L^{-1} D L^{-H}). A block without a
 Cholesky factor is factored with a trace ridge of 1e-12 and scores
 centrality 0.
 
-Problem sizes here are tiny: the witness program passes twelve 8x8
-Hermitian blocks and 256 rows together with a strictly feasible start in
-closed form. All blocks have one size d, so every block quantity (C, X, S,
+A problem has k blocks of one size d, so every block quantity (C, X, S,
 W, a direction) is one (k, d, d) array, and the NT scaling, centrality,
-step length and the W R W products run once over all k blocks. Each block
-touches only the rows whose coefficient matrix is nonzero in it (128 or 64
-of the 256 in the witness program), so the Schur complement, rebuilt every
-iteration, adds each block's products over those rows alone (Fujisawa,
-Kojima & Nakata, Math. Program. 79, 235 (1997)), and A and its adjoint run
-over the same rows. The Schur complement M itself is dense. Its Cholesky
-factorization only tests that M is positive definite and sets the ridge
-added to it; each direction is then one LU solve of the ridged M, because
-numpy has no triangular solve. Rows are not screened, so they must be
-linearly independent (the Schur complement of dependent rows is singular).
+step length and the W R W products run once over all k blocks. It
+supplies C, b (m,), apply (X -> (tr(A_i X))_i), adjoint
+(y -> (sum_i y_i A_{i,b})_b) and schur. schur(W), at the NT points W of
+one iteration, returns tr M and factor for the Schur complement
+M_ij = sum_b Re tr(A_i W_b A_j W_b): factor(ridge) raises LinAlgError
+unless M + ridge I is positive definite, and otherwise returns the
+function r -> (M + ridge I)^{-1} r. The ridge schedule lives in solve
+alone: ridge 0 first, then 1e-12 (tr M / m + 1), multiplied by 100 on
+each further failure, and "numerical-failure" after four. How M is held,
+tested and solved is up to the problem.
+
+SdpProblem is the generic problem, which the small test programs use.
+Each block touches only the rows whose coefficient matrix is nonzero in
+it, so its dense Schur complement adds each block's products over those
+rows alone (Fujisawa, Kojima & Nakata, Math. Program. 79, 235 (1997)), and
+A and its adjoint run over the same rows. Cholesky only tests that
+M + ridge I is positive definite; each direction is one LU solve of the
+ridged M, because numpy has no triangular solve. Rows are not screened,
+so they must be linearly independent (the Schur complement of dependent
+rows is singular). The witness program of the witness module (twelve 8x8
+Hermitian blocks, 256 rows and a strictly feasible start in closed form)
+holds no coefficient array and solves its Schur system in Kronecker form
+by arrow elimination, with no m x m matrix.
 """
 
 from dataclasses import dataclass, field
@@ -118,6 +129,24 @@ class SdpProblem:
         d = self.block_dims[0]
         return np.array([_sym((y[rows] @ aconj).conj().reshape(d, d))
                          for rows, aconj in zip(self.rows, self.Aconj)])
+
+    def schur(self, W):
+        """tr M and factor at the NT points W (see the module docstring).
+        M is built dense, each block adding its products over its own rows;
+        factor tests M + ridge I by Cholesky and solves it by LU."""
+        d, m = W.shape[-1], self.b.size
+        M = np.zeros((m, m))
+        for w, rows, aconj in zip(W, self.rows, self.Aconj):
+            WAW = w @ aconj.conj().reshape(-1, d, d) @ w
+            M[np.ix_(rows, rows)] += (aconj @ WAW.reshape(rows.size, -1).T).real
+        M = _sym(M)
+
+        def factor(ridge):
+            Mr = M + ridge * np.eye(m)
+            np.linalg.cholesky(Mr)
+            return lambda r: np.linalg.solve(Mr, r)
+
+        return float(np.trace(M)), factor
 
 
 @dataclass
@@ -198,7 +227,10 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
     centering step (sigma = 1, no Mehrotra term) that pulls the iterate
     back towards the central path before the gap is reduced further;
     otherwise it is a Mehrotra predictor-corrector step. The threshold is
-    fixed, not a parameter. tol must be finite and positive.
+    fixed, not a parameter. Both direction solves of an iteration use the
+    one factorization of the Schur system that problem.schur returns, with
+    the smallest ridge of the schedule in the module docstring that passes
+    its definiteness test. tol must be finite and positive.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -239,21 +271,14 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
         mu = gap / (k * d)
         try:
             W, Sinv, lam, Lxi, Lsi = _scaling(X, S)
-            # Schur complement M_ij = sum_b Re tr(A_i W_b A_j W_b), over the
-            # rows of block b only
-            M = np.zeros((m, m))
-            for w, rows, aconj in zip(W, problem.rows, problem.Aconj):
-                WAW = w @ aconj.conj().reshape(-1, d, d) @ w
-                M[np.ix_(rows, rows)] += (aconj @ WAW.reshape(rows.size, -1).T).real
-            M = _sym(M)
+            trace, factor = problem.schur(W)
             ridge = 0.0
             for attempt in range(4):
-                Mr = M + ridge * np.eye(m)
                 try:
-                    np.linalg.cholesky(Mr)
+                    solve_schur = factor(ridge)
                     break
                 except np.linalg.LinAlgError:
-                    ridge = max(ridge * 100, 1e-12 * (np.trace(M) / m + 1.0))
+                    ridge = max(ridge * 100, 1e-12 * (trace / m + 1.0))
             else:
                 status = "numerical-failure"
                 break
@@ -261,7 +286,7 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
             def direction(V):
                 # Delta X + W Delta S W = V,  Delta S = Rd - A* Delta y
                 base = V - _sym(W @ Rd @ W)
-                dy = np.linalg.solve(Mr, rp - problem.apply(base))
+                dy = solve_schur(rp - problem.apply(base))
                 Ady = problem.adjoint(dy)
                 return base + _sym(W @ Ady @ W), dy, Rd - Ady
 

@@ -18,10 +18,13 @@ The SDP is solved in-house (sdp module) in its native form: the dual
 Q_A, Q_B and Q_C in one orthonormal basis of 8x8 Hermitian matrices (256
 rows), with twelve 8x8 Hermitian slack blocks
 {W - Q_M^{T_M}, I - W + Q_M^{T_M}, Q_M, I - Q_M}, i.e. P_M and I - P_M
-with P_M = W - Q_M^{T_M}. There is no real embedding and no cached
-constraint skeleton; the program is assembled per state. Both sides have
-a strictly feasible start in closed form (W = I/2, Q_M = I/4), which keeps
-every iterate feasible and the duality gap nonnegative throughout.
+with P_M = W - Q_M^{T_M}. There is no real embedding and no coefficient
+array: the basis map and the three partial-transpose permutations are
+built once and cached, only b and the start depend on the state, and the
+Schur system of each iteration is solved in Kronecker form by arrow
+elimination (see _WitnessProgram). Both sides have a strictly feasible
+start in closed form (W = I/2, Q_M = I/4), which keeps every iterate
+feasible and the duality gap nonnegative throughout.
 
 Every answer carries a bracket lower <= E <= upper built in closed form
 from feasible points of the two sides (in the spirit of Jansson, Chaykin &
@@ -45,7 +48,7 @@ import numpy as np
 
 from .channel import SgadParams, asymptotic_state
 from .linalg import BIPARTITIONS, partial_transpose, hermitian_eigenvalues, trace_norm
-from .sdp import solve, SdpProblem
+from .sdp import _h, solve
 from .states import make_noisy, make_pure, validate
 
 GMN_EPS = 1e-6
@@ -68,38 +71,40 @@ def is_ppt(rho, cut, tol=1e-9):
 # -- SDP assembly ------------------------------------------------------
 
 @lru_cache(maxsize=1)
-def _hermitian_basis():
-    """Orthonormal basis of the 8x8 Hermitian matrices, tr(H_i H_j) = delta_ij.
+def _vec_maps():
+    """The orthonormal Hermitian basis and the partial transposes as maps on
+    row-major vecs of 8x8 matrices.
 
-    The 8 diagonal units come first, then (E_ij + E_ji)/sqrt(2) and
-    i(E_ji - E_ij)/sqrt(2) for each i < j.
+    T is the 64x64 unitary whose column k is vec(H_k), for the basis
+    tr(H_i H_j) = delta_ij of the 8x8 Hermitian matrices: the 8 diagonal
+    units come first, then (E_ij + E_ji)/sqrt(2) and i(E_ji - E_ij)/sqrt(2)
+    for each i < j. So T y = vec(sum_k y_k H_k), and Re(T^H vec(h)) are the
+    coordinates tr(H_k h) of a Hermitian h. pi[M] is the index permutation
+    of the partial transpose across cut M, vec(h^{T_M}) = vec(h)[pi[M]]; it
+    is an involution.
     """
-    basis = []
-    for i in range(8):
-        e = np.zeros((8, 8), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
+    T = np.zeros((8, 8, 64), dtype=complex)
     r = 1.0 / math.sqrt(2.0)
+    k = 8
     for i in range(8):
+        T[i, i, i] = 1.0
         for j in range(i + 1, 8):
-            s = np.zeros((8, 8), dtype=complex)
-            s[i, j] = s[j, i] = r
-            basis.append(s)
-            a = np.zeros((8, 8), dtype=complex)
-            a[i, j] = -1j * r
-            a[j, i] = 1j * r
-            basis.append(a)
-    basis = np.array(basis)
-    basis.flags.writeable = False  # shared by every caller through the cache
-    return basis
+            T[i, j, k] = T[j, i, k] = r
+            T[i, j, k + 1], T[j, i, k + 1] = -1j * r, 1j * r
+            k += 2
+    T = T.reshape(64, 64)
+    pi = np.array([partial_transpose(np.arange(64).reshape(8, 8), cut).ravel()
+                   for cut in BIPARTITIONS])
+    T.flags.writeable = pi.flags.writeable = False  # shared by every caller through the cache
+    return T, pi
 
 
-def _coords(h):
-    """Coordinates tr(H_k h) of an 8x8 Hermitian h in the orthonormal basis."""
-    return np.einsum("kab,ba->k", _hermitian_basis(), h).real
+def _coords(v):
+    """Coordinates tr(H_k h) of Hermitian matrices h given as vecs v (..., 64)."""
+    return (v @ _vec_maps()[0].conj()).real
 
 
-def _witness_program(rho):
+class _WitnessProgram:
     """The witness SDP for rho as the LMI side of sdp's standard form.
 
     y holds the coordinates of W, Q_A, Q_B and Q_C (64 rows each, 256 in
@@ -108,25 +113,97 @@ def _witness_program(rho):
         [W - Q_M^{T_M},  I - W + Q_M^{T_M},  Q_M,  I - Q_M],
 
     so C = [0, I, 0, I] and b = -tr(H_k rho) on the W rows, 0 on the rest:
-    maximizing b^T y minimizes tr(W rho). Returns the problem and a
-    strictly feasible start: y0 gives W = I/2 and Q_M = I/4, and X0 on cut
-    M is [rho/3 + I/2, I/2, rho^{T_M}/3 + I/2, I/2], which meets the
-    equality constraints since tr(H^{T_M} rho) = tr(H rho^{T_M}).
+    maximizing b^T y minimizes tr(W rho). No coefficient matrix is stored:
+    each one is +-H_k or +-H_k^{T_M}, so apply and adjoint go through T and
+    the gathers pi of _vec_maps.
+
+    schur uses the Kronecker form of the NT Schur complement,
+    tr(A_i W A_j W) = vec(A_i)^H (W (x) W^T) vec(A_j) (Alizadeh, Haeberly &
+    Overton, SIAM J. Optim. 8, 746 (1998)), so M = Tau^H K Tau with the
+    unitary Tau = I_4 (x) T. Let K_b = W_b (x) W_b^T, and on cut M let
+    P_M = K_P1 + K_P2 over its two P blocks and Q_M = K_Q1 + K_Q2 over its
+    two Q blocks. Then K is an arrow matrix:
+
+        K_WW = sum_M P_M,   K_{W,Q_M} = -P_M Pi_M,
+        K_{Q_M,Q_M} = Pi_M^T P_M Pi_M + Q_M,   K_{Q_M,Q_N} = 0 for M != N.
+
+    Its ridged system is solved by eliminating the three Q_M blocks, from
+    Cholesky factors L_M of K_{Q_M,Q_M} + ridge I and of the 64x64 reduced
+    complement K_WW + ridge I - sum_M G_M^H G_M, G_M = L_M^{-1} K_{Q_M,W}.
+    M + ridge I = Tau^H (K + ridge I) Tau is positive definite exactly when
+    all four factors exist, tr(M) = tr(K), and M is real, so
+    dy = Re(Tau^H x) for the solution x of (K + ridge I) x = Tau r.
     """
-    H = _hermitian_basis()
+
+    block_dims = [8] * 12  # the block sizes, as SdpProblem records them
+
+    def __init__(self, rho):
+        eye = np.eye(8)
+        self.C = np.array([0 * eye, eye] * 6)
+        self.b = np.concatenate([-_coords(rho.reshape(64)), np.zeros(192)])
+
+    def apply(self, X):
+        _, pi = _vec_maps()
+        X = X.reshape(3, 4, 64)
+        D = X[:, 0] - X[:, 1]
+        Q = np.take_along_axis(D, pi, axis=1) - X[:, 2] + X[:, 3]
+        return _coords(np.concatenate([-D.sum(axis=0)[None], Q])).ravel()
+
+    def adjoint(self, y):
+        T, pi = _vec_maps()
+        v = y.reshape(4, 64) @ T.T  # vec(W), vec(Q_A), vec(Q_B), vec(Q_C)
+        P = np.take_along_axis(v[1:], pi, axis=1) - v[0]
+        return np.stack([P, -P, -v[1:], v[1:]], axis=1).reshape(12, 8, 8)
+
+    def arrow(self, W):
+        """The blocks K_WW (64, 64), K_{W,Q_M} and K_{Q_M,Q_M} (3, 64, 64)
+        of K at the NT points W (12, 8, 8)."""
+        _, pi = _vec_maps()
+        # K_b[(a, b), (c, d)] = W_b[a, c] W_b[d, b]; with order="C" the
+        # reshape is a view, not a strided copy
+        K = np.multiply(W[:, :, None, :, None], W[:, None, :, None, :].swapaxes(2, 4),
+                        order="C").reshape(3, 4, 64, 64)
+        P = K[:, 0] + K[:, 1]
+        P_pi = np.take_along_axis(P, pi[:, None, :], axis=2)  # P_M Pi_M
+        KQQ = np.take_along_axis(P_pi, pi[:, :, None], axis=1) + K[:, 2] + K[:, 3]
+        return P.sum(axis=0), -P_pi, KQQ
+
+    def schur(self, W):
+        """tr M and factor at the NT points W (see the sdp module), by
+        arrow elimination on K."""
+        T, _ = _vec_maps()
+        KWW, KWQ, KQQ = self.arrow(W)
+
+        def factor(ridge):
+            eye = ridge * np.eye(64)
+            Li = np.linalg.inv(np.linalg.cholesky(KQQ + eye))
+            G = Li @ _h(KWQ)  # L_M^{-1} K_{Q_M,W}
+            Gh = _h(G)
+            Ri = np.linalg.inv(np.linalg.cholesky(KWW + eye - (Gh @ G).sum(axis=0)))
+
+            def solve_schur(r):
+                z = r.reshape(4, 64) @ T.T
+                u = (Li @ z[1:, :, None])[..., 0]
+                xw = _h(Ri) @ (Ri @ (z[0] - (Gh @ u[..., None]).sum(axis=0)[:, 0]))
+                xq = (_h(Li) @ (u - G @ xw)[..., None])[..., 0]
+                return _coords(np.concatenate([xw[None], xq])).ravel()
+
+            return solve_schur
+
+        trace = np.trace(KWW).real + np.trace(KQQ, axis1=1, axis2=2).real.sum()
+        return float(trace), factor
+
+
+def _witness_program(rho):
+    """The witness program for rho and a strictly feasible start (X0, y0,
+    S0): y0 gives W = I/2 and Q_M = I/4, and X0 on cut M is
+    [rho/3 + I/2, I/2, rho^{T_M}/3 + I/2, I/2], which meets the equality
+    constraints since tr(H^{T_M} rho) = tr(H rho^{T_M})."""
+    problem = _WitnessProgram(rho)
     eye = np.eye(8)
-    # A[k, j, q]: block j of cut k, on the rows of W (q = 0) and of Q_A, Q_B, Q_C
-    A = np.zeros((3, 4, 4, 64, 8, 8), dtype=complex)
-    X0 = np.empty((3, 4, 8, 8), dtype=complex)
-    for k, cut in enumerate(BIPARTITIONS):
-        Ht = partial_transpose(H, cut)
-        A[k, :2, 0] = -H, H
-        A[k, :, k + 1] = Ht, -Ht, -H, H
-        X0[k] = rho / 3 + eye / 2, eye / 2, partial_transpose(rho, cut) / 3 + eye / 2, eye / 2
-    C = np.array([0 * eye, eye, 0 * eye, eye] * 3)
-    b = np.concatenate([-_coords(rho), np.zeros(192)])
-    problem = SdpProblem([8] * 12, C, A.reshape(12, 256, 8, 8), b)
-    y0 = np.concatenate([_coords(eye / 2)] + [_coords(eye / 4)] * 3)
+    X0 = np.array([[rho / 3 + eye / 2, eye / 2, partial_transpose(rho, cut) / 3 + eye / 2, eye / 2]
+                   for cut in BIPARTITIONS])
+    y0 = _coords(np.array([eye / 2, eye / 4, eye / 4, eye / 4]).reshape(4, 64)).ravel()
     return problem, (X0.reshape(12, 8, 8), y0, problem.C - problem.adjoint(y0))
 
 
@@ -222,7 +299,7 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
     lower, upper = _bracket(problem, sol, start[1], rho, 16.0 * eps_ppt)
     return GmnReport(
         value=max(0.0, 2.0 * sol.dual_obj),
-        witness=np.einsum("k,kab->ab", sol.y[:64], _hermitian_basis()),
+        witness=(_vec_maps()[0] @ sol.y[:64]).reshape(8, 8),
         negativities=negativities,
         status=sol.status,
         gap=sol.gap,

@@ -233,7 +233,13 @@ def test_out_of_range_input_is_an_input_error(capsys, argv):
     ["gmn", "--family", "w", "--tol", "nan"],
     ["gmn", "--family", "ghz1", "--alpha", "0.2", "--tol", "-1"],
     ["asymptotic", "--family", "ghz1", "--n", "1", "--mu", "0.5", "--workers", "0"],
-], ids=["scan-grid-parts", "grid-inf", "mu-and-grid", "tol-nan", "tol-negative", "workers-0"])
+    ["asymptotic", "--family", "ghz1", "--n", "", "--mu", "0.5"],
+    ["asymptotic", "--family", "ghz1", "--n", "1", "--mu", ""],
+    ["asymptotic", "--family", "ghz1", "--n", "1,", "--mu", "0.5"],
+    ["asymptotic", "--family", "ghz1", "--n", "1", "--mu", "0.2,,0.4"],
+    ["evolve", "--family", "ghz1", "--omega-t", "", "--tol", "nan"],
+], ids=["scan-grid-parts", "grid-inf", "mu-and-grid", "tol-nan", "tol-negative", "workers-0",
+        "n-empty", "mu-empty", "n-empty-token", "mu-empty-token", "omega-t-empty"])
 def test_malformed_input_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""

@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from sgadmem import sdp
 from sgadmem.channel import SgadParams, asymptotic_state
+from sgadmem.linalg import BIPARTITIONS, partial_transpose
 from sgadmem.sdp import CENTRALITY_MIN, SdpProblem, _max_step, _scaling, solve
 from sgadmem.states import make_noisy, make_pure
-from sgadmem.witness import _witness_program
+from sgadmem.witness import _vec_maps, _witness_program
 
 
 def sym(a):
@@ -37,8 +39,34 @@ def min_eig_problem(c):
     return SdpProblem([d], [c], [np.eye(d)[None]], [1.0])
 
 
-# -- slow-path reference: the interior-point loop one block at a time, with
-# every product over all rows of the dense coefficient arrays
+# -- slow-path reference: the witness program as a generic SdpProblem with
+# its dense coefficient arrays, and the interior-point loop one block at a
+# time, with every product over all rows of those arrays
+
+def dense_witness_program(rho):
+    """The witness program of sgadmem.witness as an SdpProblem that holds
+    every coefficient matrix, with the same start."""
+    T, _ = _vec_maps()
+    H = T.T.reshape(64, 8, 8)
+    eye = np.eye(8)
+    # A[k, j, q]: block j of cut k, on the rows of W (q = 0) and of Q_A, Q_B, Q_C
+    A = np.zeros((3, 4, 4, 64, 8, 8), dtype=complex)
+    X0 = np.empty((3, 4, 8, 8), dtype=complex)
+    for k, cut in enumerate(BIPARTITIONS):
+        Ht = partial_transpose(H, cut)
+        A[k, :2, 0] = -H, H
+        A[k, :, k + 1] = Ht, -Ht, -H, H
+        X0[k] = rho / 3 + eye / 2, eye / 2, partial_transpose(rho, cut) / 3 + eye / 2, eye / 2
+    C = np.array([0 * eye, eye, 0 * eye, eye] * 3)
+
+    def coords(h):
+        return np.einsum("kab,ba->k", H, h).real
+
+    b = np.concatenate([-coords(rho), np.zeros(192)])
+    problem = SdpProblem([8] * 12, C, A.reshape(12, 256, 8, 8), b)
+    y0 = np.concatenate([coords(eye / 2)] + [coords(eye / 4)] * 3)
+    return problem, (X0.reshape(12, 8, 8), y0, problem.C - problem.adjoint(y0))
+
 
 def _ref_apply(problem, X):
     m = problem.b.size
@@ -64,6 +92,15 @@ def _ref_nt_scaling(x, s):
     tv = np.maximum(tv, 1e-300)
     Thalf = (V * np.sqrt(tv)) @ V.conj().T
     return sym(Sinvhalf @ Thalf @ Sinvhalf), sym((U / sv) @ Uh)
+
+
+def _ref_schur(problem, Ws):
+    m = problem.b.size
+    M = np.zeros((m, m))
+    for w, a in zip(Ws, problem.A):
+        WAW = np.einsum("ij,kjl,lm->kim", w, a, w, optimize=True)
+        M += (a.reshape(m, -1).conj() @ WAW.reshape(m, -1).T).real
+    return sym(M)
 
 
 def _ref_centrality(X, S, mu):
@@ -100,7 +137,6 @@ def reference_solve(problem, tol=1e-8, max_iter=100, start=None):
         X = [np.array(x) for x in start[0]]
         S = [np.array(s) for s in start[2]]
         y = np.asarray(start[1], dtype=float).copy()
-    Aconj = [a.reshape(m, -1).conj() for a in problem.A]
     status = "max-iterations"
     for it in range(max_iter + 1):
         rp = problem.b - _ref_apply(problem, X)
@@ -121,11 +157,7 @@ def reference_solve(problem, tol=1e-8, max_iter=100, start=None):
         mu = gap / sum(dims)
         try:
             Ws, Sinvs = zip(*[_ref_nt_scaling(X[b], S[b]) for b in range(nb)])
-            M = np.zeros((m, m))
-            for b in range(nb):
-                WAW = np.einsum("ij,kjl,lm->kim", Ws[b], problem.A[b], Ws[b], optimize=True)
-                M += (Aconj[b] @ WAW.reshape(m, -1).T).real
-            M = sym(M)
+            M = _ref_schur(problem, Ws)
             ridge = 0.0
             for _ in range(4):
                 try:
@@ -173,6 +205,8 @@ def reference_solve(problem, tol=1e-8, max_iter=100, start=None):
 
 
 def test_solve_matches_per_block_reference():
+    # gmn's witness program and solver against the reference loop on the
+    # dense program
     rng = np.random.default_rng(12)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v /= np.linalg.norm(v)
@@ -185,15 +219,97 @@ def test_solve_matches_per_block_reference():
         random_local_frame(rng, make_noisy("ghz2", alpha=0.7091)),
         0.4 * np.outer(v, v.conj()) + 0.6 * np.eye(8) / 8,
         asymptotic_state(make_pure("ghz1"), SgadParams(1.0, 1.0, 0.0), 0.5),
+        asymptotic_state(make_noisy("w", beta=0.3), SgadParams(1.0, 1.0, 0.0), 1.0),
     ]
     for rho in states:
-        problem, start = _witness_program(rho)
+        dense, dense_start = dense_witness_program(rho)
         # W - Q^T and I - W + Q^T touch the W and Q_M rows, Q and I - Q the Q_M rows
-        assert [r.size for r in problem.rows] == [128, 128, 64, 64] * 3
+        assert [r.size for r in dense.rows] == [128, 128, 64, 64] * 3
+        problem, start = _witness_program(rho)
         sol = solve(problem, start=start)
-        status, dual_obj, _ = reference_solve(problem, start=start)
+        status, dual_obj, _ = reference_solve(dense, start=dense_start)
         assert sol.status == status == "optimal"
         assert abs(sol.dual_obj - dual_obj) <= 1e-8
+
+
+def test_witness_schur_matches_generic(monkeypatch):
+    # The witness program's gathers and Kronecker-form Schur system against
+    # the generic build on the dense program, at the NT points of every
+    # iterate of three solves. Two backward-stable solves of one system
+    # agree only to about cond(M) * 1e-16, and cond(M) reaches 1e16 near the
+    # optimum, so the 1e-10 agreement is required at ridge 0 where
+    # cond(M) <= 1e5, and everywhere at the ridge 1e-5 lambda_max(M).
+    T, _ = _vec_maps()
+    H = T.T.reshape(64, 8, 8)
+    assert np.abs(T.conj().T @ T - np.eye(64)).max() <= 1e-15
+    assert np.array_equal(H, H.conj().swapaxes(1, 2))
+    Tau = np.kron(np.eye(4), T)
+    rng = np.random.default_rng(15)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    v /= np.linalg.norm(v)
+    states = [
+        0.4 * np.outer(v, v.conj()) + 0.6 * np.eye(8) / 8,
+        random_local_frame(rng, make_noisy("ghz2", alpha=0.7091)),
+        asymptotic_state(make_noisy("w", beta=0.3), SgadParams(1.0, 1.0, 0.0), 1.0),
+    ]
+    points = []
+
+    def recording_scaling(X, S):
+        out = _scaling(X, S)
+        points.append(out[0])
+        return out
+
+    monkeypatch.setattr(sdp, "_scaling", recording_scaling)
+    well_conditioned = reduced_decides = 0
+    for rho in states:
+        problem, start = _witness_program(rho)
+        dense, dense_start = dense_witness_program(rho)
+        assert np.array_equal(problem.b, dense.b)
+        assert all(np.array_equal(a, b) for a, b in zip(start, dense_start))
+        points.clear()
+        sol = solve(problem, start=start)
+        assert sol.status == "optimal" and len(points) == sol.iterations
+        herm = np.array([rand_herm(rng, 8) for _ in range(12)])
+        for X, y in ((start[0], start[1]), (sol.X, sol.y), (herm, rng.normal(size=256))):
+            assert np.abs(problem.apply(X) - dense.apply(X)).max() <= 1e-14
+            assert np.abs(problem.adjoint(y) - dense.adjoint(y)).max() <= 1e-14
+        for W in points:
+            M = _ref_schur(dense, W)
+            KWW, KWQ, KQQ = problem.arrow(W)
+            K = np.zeros((256, 256), dtype=complex)
+            K[:64, :64] = KWW
+            for c in range(3):
+                q = slice(64 * (c + 1), 64 * (c + 2))
+                K[:64, q], K[q, :64], K[q, q] = KWQ[c], KWQ[c].conj().T, KQQ[c]
+            scale = np.abs(M).max()
+            assert np.abs(Tau.conj().T @ K @ Tau - M).max() <= 1e-12 * scale
+            trace, factor = problem.schur(W)
+            assert abs(trace - np.trace(M)) <= 1e-12 * np.trace(M)
+
+            lam = np.linalg.eigvalsh(M)
+            r = rng.normal(size=256)
+            ridges = [1e-5 * lam[-1]]
+            if lam[-1] <= 1e5 * lam[0]:
+                ridges.append(0.0)
+                well_conditioned += 1
+            for ridge in ridges:
+                x = factor(ridge)(r)
+                ref = np.linalg.solve(M + ridge * np.eye(256), r)
+                assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+            # forced ridges just either side of -lambda_min(M); at the lower
+            # one the reduced complement decides wherever every K_{Q_M,Q_M}
+            # + ridge I is still positive definite
+            margin = 1e-8 * lam[-1]
+            reduced_decides += np.linalg.eigvalsh(KQQ)[:, 0].min() - margin - lam[0] > 0
+            for ridge, definite in ((margin - lam[0], True), (-margin - lam[0], False)):
+                for test in (factor, lambda ridge: np.linalg.cholesky(M + ridge * np.eye(256))):
+                    try:
+                        test(ridge)
+                        passed = True
+                    except np.linalg.LinAlgError:
+                        passed = False
+                    assert passed == definite
+    assert well_conditioned >= 10 and reduced_decides >= 5
 
 
 def random_pd_stack(rng, k, d, cond):

@@ -130,9 +130,11 @@ def test_gmn_report_invariants():
 
 
 # Solves pure W, pure W-tilde, the n = 1, mu = 1 asymptote of W (the
-# correlated map leaves W's inner block alone, so it is the same program) and
-# ghz2 at alpha = 0.7091 in a fixed random local frame (complex, no
-# Z-symmetry, NPT on every cut), and prints {name: [status, value]} as JSON.
+# correlated map leaves W's inner block alone, so it is the same program),
+# the same asymptote of W at beta = 0.3 (which lost primal feasibility in
+# the end game when its Schur system was solved dense) and ghz2 at
+# alpha = 0.7091 in a fixed random local frame (complex, no Z-symmetry, NPT
+# on every cut), and prints {name: [status, value]} as JSON.
 W_FAMILY_PROBE = """
 import json
 import numpy as np
@@ -146,6 +148,8 @@ states = {
     "w": make_pure("w"),
     "wtilde": make_pure("wtilde"),
     "w_asymptotic": asymptotic_state(make_pure("w"), SgadParams(1.0, 1.0, 0.0), 1.0),
+    "w_beta_0.3_asymptotic": asymptotic_state(make_noisy("w", beta=0.3),
+                                              SgadParams(1.0, 1.0, 0.0), 1.0),
     "ghz2_frame": u @ make_noisy("ghz2", alpha=0.7091) @ u.conj().T,
 }
 reports = {name: gmn(rho) for name, rho in states.items()}
@@ -156,6 +160,7 @@ W_FAMILY_EXPECTED = {
     "w": (0.885618, 5e-4),
     "wtilde": (0.885618, 5e-4),
     "w_asymptotic": (0.885618, 5e-4),
+    "w_beta_0.3_asymptotic": (0.348794, 1e-6),
     "ghz2_frame": ((7 * 0.7091 - 3) / 4, 1e-6),  # GHZ-diagonal: twice the antidiagonal margin
 }
 
