@@ -392,6 +392,7 @@ def build_parser():
     s.add_argument("--scan", choices=("alpha", "beta", "mu"), required=True)
     s.add_argument("--asymptotic", action="store_true",
                    help="probe t -> inf states instead of initial mixtures")
+    s.set_defaults(n=None)  # so that a --n without --asymptotic is seen
     return p
 
 

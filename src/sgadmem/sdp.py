@@ -55,9 +55,8 @@ M + ridge I is positive definite; each direction is one LU solve of the
 ridged M, because numpy has no triangular solve. Rows are not screened,
 so they must be linearly independent (the Schur complement of dependent
 rows is singular). The witness program of the witness module (twelve 8x8
-Hermitian blocks, 256 rows and a strictly feasible start in closed form)
-holds no coefficient array and solves its Schur system in Kronecker form
-by arrow elimination, with no m x m matrix.
+Hermitian blocks, 256 rows) holds no coefficient array and builds no
+m x m matrix: witness._WitnessProgram derives its real Schur system.
 """
 
 from dataclasses import dataclass, field

@@ -14,17 +14,13 @@ boundary), which for three qubits is the standard relaxation of
 biseparability.
 
 The SDP is solved in-house (sdp module) in its native form: the dual
-(LMI) side of the standard form, over the coordinates of the Hermitian W,
-Q_A, Q_B and Q_C in one orthonormal basis of 8x8 Hermitian matrices (256
-rows), with twelve 8x8 Hermitian slack blocks
-{W - Q_M^{T_M}, I - W + Q_M^{T_M}, Q_M, I - Q_M}, i.e. P_M and I - P_M
-with P_M = W - Q_M^{T_M}. There is no real embedding and no coefficient
-array: the basis map and the three partial-transpose permutations are
-built once and cached, only b and the start depend on the state, and the
-Schur system of each iteration is solved in Kronecker form by arrow
-elimination (see _WitnessProgram). Both sides have a strictly feasible
-start in closed form (W = I/2, Q_M = I/4), which keeps every iterate
-feasible and the duality gap nonnegative throughout.
+(LMI) side of the standard form, over the coordinates of W, Q_A, Q_B and
+Q_C in the normalized Pauli basis (256 rows), with twelve 8x8 Hermitian
+slack blocks, P_M and I - P_M with P_M = W - Q_M^{T_M}, and Q_M and
+I - Q_M. Only b and the start depend on the state. _WitnessProgram
+derives the program and its real Schur system. Both sides have a strictly
+feasible start in closed form (W = I/2, Q_M = I/4), which keeps every
+iterate feasible and the duality gap nonnegative throughout.
 
 Every answer carries a bracket lower <= E <= upper built in closed form
 from feasible points of the two sides (in the spirit of Jansson, Chaykin &
@@ -48,7 +44,7 @@ import numpy as np
 
 from .channel import SgadParams, asymptotic_state
 from .linalg import BIPARTITIONS, partial_transpose, hermitian_eigenvalues, trace_norm
-from .sdp import _h, solve
+from .sdp import solve
 from .states import make_noisy, make_pure, validate
 
 GMN_EPS = 1e-6
@@ -70,69 +66,115 @@ def is_ppt(rho, cut, tol=1e-9):
 
 # -- SDP assembly ------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _vec_maps():
-    """The orthonormal Hermitian basis and the partial transposes as maps on
-    row-major vecs of 8x8 matrices.
+_PHASE = np.array([1.0, 1j, -1.0, -1j])  # i^n for n = 0..3
+_POPCOUNT = np.array([0, 1, 1, 2, 1, 2, 2, 3])  # set bits of 0..7
+_WALSH = 1.0 - 2.0 * (_POPCOUNT[np.arange(8)[:, None] & np.arange(8)] % 2)  # (-1)^{z.b}
 
-    T is the 64x64 unitary whose column k is vec(H_k), for the basis
-    tr(H_i H_j) = delta_ij of the 8x8 Hermitian matrices: the 8 diagonal
-    units come first, then (E_ij + E_ji)/sqrt(2) and i(E_ji - E_ij)/sqrt(2)
-    for each i < j. So T y = vec(sum_k y_k H_k), and Re(T^H vec(h)) are the
-    coordinates tr(H_k h) of a Hermitian h. pi[M] is the index permutation
-    of the partial transpose across cut M, vec(h^{T_M}) = vec(h)[pi[M]]; it
-    is an involution.
-    """
-    T = np.zeros((8, 8, 64), dtype=complex)
-    r = 1.0 / math.sqrt(2.0)
-    k = 8
-    for i in range(8):
-        T[i, i, i] = 1.0
-        for j in range(i + 1, 8):
-            T[i, j, k] = T[j, i, k] = r
-            T[i, j, k + 1], T[j, i, k + 1] = -1j * r, 1j * r
-            k += 2
-    T = T.reshape(64, 64)
-    pi = np.array([partial_transpose(np.arange(64).reshape(8, 8), cut).ravel()
-                   for cut in BIPARTITIONS])
-    T.flags.writeable = pi.flags.writeable = False  # shared by every caller through the cache
-    return T, pi
+
+@lru_cache(maxsize=1)
+def _pauli():
+    """The Pauli basis H_k of _WitnessProgram as T, the 64x64 unitary whose
+    column k is the row-major vec(H_k), and the partial transposes as the
+    signs s (3, 64) with H_k^{T_M} = s[M, k] H_k."""
+    k = np.arange(64)
+    x, z, b = k // 8, k % 8, np.arange(8)
+    H = np.zeros((64, 8, 8), dtype=complex)
+    H[k[:, None], b ^ x[:, None], b] = _PHASE[_POPCOUNT[x & z]][:, None] * (_WALSH[z] / math.sqrt(8.0))
+    T = H.reshape(64, 64).T.copy()
+    bit = np.array([[2 - cut.party[0]] for cut in BIPARTITIONS])  # qubit A is the top bit
+    s = 1.0 - 2.0 * ((x & z) >> bit & 1)
+    T.flags.writeable = s.flags.writeable = False  # shared by every caller through the cache
+    return T, s
+
+
+@lru_cache(maxsize=1)
+def _arrow_tables():
+    """The gathers and the output map of _WitnessProgram.arrow."""
+    x, xp = np.triu_indices(8)  # the 36 pairs x <= x'
+    b, d = np.divmod(np.arange(64), 8)
+    left = d[:, None] * 8 + (b[:, None] ^ x)  # W[d, b ^ x], (64, 36)
+    right = b[:, None] * 8 + (d[:, None] ^ xp)  # W[b, d ^ x']
+    pair = np.empty((8, 8), dtype=int)
+    pair[x, xp] = pair[xp, x] = np.arange(36)
+    X, Z, Xp, Zp = np.ix_(*[np.arange(8)] * 4)
+    n = _POPCOUNT[X & Z] + _POPCOUNT[Xp & Zp]  # the phase i^n of H_k H_k'
+    zz = np.where(X <= Xp, 8 * Z + Zp, 8 * Zp + Z)  # the pair (x', x) is read transposed
+    # B[m, k, k'] reads G[(z, z'), pair, m, re/im], m = 2 cut + (0 for P, 1 for Q)
+    src = ((zz * 36 + pair[X, Xp]) * 12 + n % 2).reshape(64, 64) + 2 * np.arange(6)[:, None, None]
+    # Re(i^n G) is Re G, -Im G, -Re G, Im G for n = 0..3
+    sign = (np.array([1.0, -1.0, -1.0, 1.0])[n % 4] / 8.0).reshape(64, 64)
+    return left, right, src, sign
+
+
+def _tril_inv(L):
+    """Inverses of the lower triangular matrices L (..., n, n), n a power of
+    two, by halves as LAPACK's trtri does: [[A, 0], [C, D]]^{-1} =
+    [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]]. np.linalg.inv, which runs a
+    full LU factorization of each matrix, takes over at n = 16; above that,
+    the halving moves most of the work into matrix products."""
+    n = L.shape[-1]
+    if n <= 16:
+        return np.linalg.inv(L)
+    h = n // 2
+    Ai, Di = _tril_inv(np.stack([L[..., :h, :h], L[..., h:, h:]]))
+    out = np.zeros_like(L)
+    out[..., :h, :h], out[..., h:, h:] = Ai, Di
+    out[..., h:, :h] = -Di @ L[..., h:, :h] @ Ai
+    return out
 
 
 def _coords(v):
     """Coordinates tr(H_k h) of Hermitian matrices h given as vecs v (..., 64)."""
-    return (v @ _vec_maps()[0].conj()).real
+    return (v @ _pauli()[0].conj()).real
 
 
 class _WitnessProgram:
     """The witness SDP for rho as the LMI side of sdp's standard form.
 
     y holds the coordinates of W, Q_A, Q_B and Q_C (64 rows each, 256 in
-    all). Per cut M the four 8x8 slack blocks are
+    all) in the normalized Pauli basis H_k = i^{|x & z|} X^x Z^z / sqrt(8),
+    k = 8x + z, with x and z 3-bit strings (qubit A the top bit). The H_k
+    are Hermitian with tr(H_i H_j) = delta_ij and entries
+
+        H_k[a, b] = i^{|x & z|} (-1)^{z.b} [a = b ^ x] / sqrt(8).
+
+    Each qubit factor of H_k is I, X, Z or Y, and only Y changes sign when
+    transposed, so H_k^{T_M} = s_M[k] H_k with s_M[k] = (-1)^{x_q z_q} for
+    the qubit q of cut M (_pauli). Per cut M the four 8x8 slack blocks are
 
         [W - Q_M^{T_M},  I - W + Q_M^{T_M},  Q_M,  I - Q_M],
 
     so C = [0, I, 0, I] and b = -tr(H_k rho) on the W rows, 0 on the rest:
     maximizing b^T y minimizes tr(W rho). No coefficient matrix is stored:
-    each one is +-H_k or +-H_k^{T_M}, so apply and adjoint go through T and
-    the gathers pi of _vec_maps.
+    each one is +-H_k or +-s_M[k] H_k, so apply and adjoint are the map T
+    of _pauli and the signs s.
 
-    schur uses the Kronecker form of the NT Schur complement,
-    tr(A_i W A_j W) = vec(A_i)^H (W (x) W^T) vec(A_j) (Alizadeh, Haeberly &
-    Overton, SIAM J. Optim. 8, 746 (1998)), so M = Tau^H K Tau with the
-    unitary Tau = I_4 (x) T. Let K_b = W_b (x) W_b^T, and on cut M let
-    P_M = K_P1 + K_P2 over its two P blocks and Q_M = K_Q1 + K_Q2 over its
-    two Q blocks. Then K is an arrow matrix:
+    The Schur complement M_ij = sum_b tr(A_i W_b A_j W_b) is real. Let
+    B_b[k, k'] = tr(H_k W_b H_k' W_b), and on cut M let P_M = B_P1 + B_P2
+    over its two P blocks and Q_M = B_Q1 + B_Q2 over its two Q blocks. With
+    S_M = diag(s_M), M is an arrow matrix of 64x64 blocks:
 
-        K_WW = sum_M P_M,   K_{W,Q_M} = -P_M Pi_M,
-        K_{Q_M,Q_M} = Pi_M^T P_M Pi_M + Q_M,   K_{Q_M,Q_N} = 0 for M != N.
+        M_WW = sum_M P_M,   M_{W,Q_M} = -P_M S_M,
+        M_{Q_M,Q_M} = S_M P_M S_M + Q_M,   M_{Q_M,Q_N} = 0 for M != N.
 
-    Its ridged system is solved by eliminating the three Q_M blocks, from
-    Cholesky factors L_M of K_{Q_M,Q_M} + ridge I and of the 64x64 reduced
-    complement K_WW + ridge I - sum_M G_M^H G_M, G_M = L_M^{-1} K_{Q_M,W}.
-    M + ridge I = Tau^H (K + ridge I) Tau is positive definite exactly when
-    all four factors exist, tr(M) = tr(K), and M is real, so
-    dy = Re(Tau^H x) for the solution x of (K + ridge I) x = Tau r.
+    From the entries of H_k, with k' = 8x' + z' and phase i^n,
+    n = |x & z| + |x' & z'|,
+
+        B[k, k'] = Re(i^n sum_{b,d} (-1)^{z.b + z'.d} F[x, x', b, d]) / 8,
+        F[x, x', b, d] = W[b, d ^ x'] W[d, b ^ x]
+
+    (B is real, so Re only discards rounding). So arrow gathers F from W
+    for the 36 pairs x <= x' (B is symmetric, and the pair (x', x) gives
+    the transposed entries), adds it over the two P and the two Q blocks of
+    each cut, and applies the Walsh-Hadamard matrix (-1)^{z.b} along b and
+    along d to its real and imaginary parts at once, as real matrix
+    products. Each entry then reads the real or imaginary part, by the
+    parity of n, with the sign of Re(i^n).
+
+    The ridged system is solved by eliminating the three Q_M blocks, from
+    real Cholesky factors L_M of M_{Q_M,Q_M} + ridge I and of the reduced
+    complement M_WW + ridge I - sum_M G_M^T G_M, G_M = L_M^{-1} M_{Q_M,W}.
+    M + ridge I is positive definite exactly when all four factors exist.
     """
 
     block_dims = [8] * 12  # the block sizes, as SdpProblem records them
@@ -143,54 +185,55 @@ class _WitnessProgram:
         self.b = np.concatenate([-_coords(rho.reshape(64)), np.zeros(192)])
 
     def apply(self, X):
-        _, pi = _vec_maps()
+        _, s = _pauli()
         X = X.reshape(3, 4, 64)
-        D = X[:, 0] - X[:, 1]
-        Q = np.take_along_axis(D, pi, axis=1) - X[:, 2] + X[:, 3]
-        return _coords(np.concatenate([-D.sum(axis=0)[None], Q])).ravel()
+        c = _coords(np.concatenate([X[:, 0] - X[:, 1], X[:, 3] - X[:, 2]]))
+        return np.concatenate([-c[:3].sum(axis=0), s * c[:3] + c[3:]], axis=None)
 
     def adjoint(self, y):
-        T, pi = _vec_maps()
-        v = y.reshape(4, 64) @ T.T  # vec(W), vec(Q_A), vec(Q_B), vec(Q_C)
-        P = np.take_along_axis(v[1:], pi, axis=1) - v[0]
-        return np.stack([P, -P, -v[1:], v[1:]], axis=1).reshape(12, 8, 8)
+        T, s = _pauli()
+        y = y.reshape(4, 64)
+        v = np.concatenate([s * y[1:] - y[0], y[1:]]) @ T.T  # vec(Q_M^{T_M} - W), vec(Q_M)
+        P, Q = v[:3], v[3:]
+        return np.stack([P, -P, -Q, Q], axis=1).reshape(12, 8, 8)
 
     def arrow(self, W):
-        """The blocks K_WW (64, 64), K_{W,Q_M} and K_{Q_M,Q_M} (3, 64, 64)
-        of K at the NT points W (12, 8, 8)."""
-        _, pi = _vec_maps()
-        # K_b[(a, b), (c, d)] = W_b[a, c] W_b[d, b]; with order="C" the
-        # reshape is a view, not a strided copy
-        K = np.multiply(W[:, :, None, :, None], W[:, None, :, None, :].swapaxes(2, 4),
-                        order="C").reshape(3, 4, 64, 64)
-        P = K[:, 0] + K[:, 1]
-        P_pi = np.take_along_axis(P, pi[:, None, :], axis=2)  # P_M Pi_M
-        KQQ = np.take_along_axis(P_pi, pi[:, :, None], axis=1) + K[:, 2] + K[:, 3]
-        return P.sum(axis=0), -P_pi, KQQ
+        """The blocks M_WW (64, 64), M_{W,Q_M} and M_{Q_M,Q_M} (3, 64, 64)
+        of M at the NT points W (12, 8, 8)."""
+        left, right, src, sign = _arrow_tables()
+        _, s = _pauli()
+        Wv = np.ascontiguousarray(W.reshape(12, 64).T)
+        F = np.take(Wv, left, axis=0)  # [(b, d), pair, block]
+        F *= np.take(Wv, right, axis=0)
+        F = F.reshape(64, 36, 6, 2)
+        F = (F[..., 0] + F[..., 1]).view(float).reshape(8, 8, -1)  # [b, d, (pair, m, re/im)]
+        B = np.take(_WALSH @ (_WALSH @ F).reshape(8, -1), src)  # (6, 64, 64)
+        B *= sign
+        P, Q = B[0::2], B[1::2]
+        return P.sum(axis=0), -P * s[:, None, :], s[:, :, None] * P * s[:, None, :] + Q
 
     def schur(self, W):
         """tr M and factor at the NT points W (see the sdp module), by
-        arrow elimination on K."""
-        T, _ = _vec_maps()
-        KWW, KWQ, KQQ = self.arrow(W)
+        arrow elimination on M."""
+        MWW, MWQ, MQQ = self.arrow(W)
 
         def factor(ridge):
             eye = ridge * np.eye(64)
-            Li = np.linalg.inv(np.linalg.cholesky(KQQ + eye))
-            G = Li @ _h(KWQ)  # L_M^{-1} K_{Q_M,W}
-            Gh = _h(G)
-            Ri = np.linalg.inv(np.linalg.cholesky(KWW + eye - (Gh @ G).sum(axis=0)))
+            Li = _tril_inv(np.linalg.cholesky(MQQ + eye))
+            G = Li @ MWQ.swapaxes(1, 2)  # L_M^{-1} M_{Q_M,W}
+            Gt = G.swapaxes(1, 2)
+            Ri = _tril_inv(np.linalg.cholesky(MWW + eye - (Gt @ G).sum(axis=0)))
 
             def solve_schur(r):
-                z = r.reshape(4, 64) @ T.T
-                u = (Li @ z[1:, :, None])[..., 0]
-                xw = _h(Ri) @ (Ri @ (z[0] - (Gh @ u[..., None]).sum(axis=0)[:, 0]))
-                xq = (_h(Li) @ (u - G @ xw)[..., None])[..., 0]
-                return _coords(np.concatenate([xw[None], xq])).ravel()
+                r = r.reshape(4, 64)
+                u = (Li @ r[1:, :, None])[..., 0]
+                xw = Ri.T @ (Ri @ (r[0] - (Gt @ u[..., None]).sum(axis=0)[:, 0]))
+                xq = (Li.swapaxes(1, 2) @ (u - G @ xw)[..., None])[..., 0]
+                return np.concatenate([xw, xq], axis=None)
 
             return solve_schur
 
-        trace = np.trace(KWW).real + np.trace(KQQ, axis1=1, axis2=2).real.sum()
+        trace = np.trace(MWW) + np.trace(MQQ, axis1=1, axis2=2).sum()
         return float(trace), factor
 
 
@@ -299,7 +342,7 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
     lower, upper = _bracket(problem, sol, start[1], rho, 16.0 * eps_ppt)
     return GmnReport(
         value=max(0.0, 2.0 * sol.dual_obj),
-        witness=(_vec_maps()[0] @ sol.y[:64]).reshape(8, 8),
+        witness=(_pauli()[0] @ sol.y[:64]).reshape(8, 8),
         negativities=negativities,
         status=sol.status,
         gap=sol.gap,
@@ -386,7 +429,7 @@ class ScanResult:
     status: str
 
 
-def threshold_scan(family, scan, bracket, *, n=1.0, mu=None, alpha=None,
+def threshold_scan(family, scan, bracket, *, n=None, mu=None, alpha=None,
                    beta=None, asymptotic=False, eps=GMN_EPS, resolution=1e-3,
                    tol=1e-8):
     """Bisect `scan` over `bracket` for the gmn > eps boundary.
@@ -394,8 +437,11 @@ def threshold_scan(family, scan, bracket, *, n=1.0, mu=None, alpha=None,
     scan is "alpha", "beta" (mixture weight of the chosen family) or "mu"
     (memory weight; requires asymptotic=True since mu only enters through
     the channel). With asymptotic=True each probe state is the t -> inf
-    output at bath occupation n; asymptotic maps carry no squeezing
-    dependence, so m is not a parameter here. If gmn - eps has the same
+    output at bath occupation n (default 1.0) and memory weight mu;
+    asymptotic maps carry no squeezing dependence, so m is not a parameter
+    here. n and mu apply to asymptotic scans only, an asymptotic scan of
+    alpha or beta needs mu, and the scanned variable takes no fixed value:
+    anything else is a ValueError. If gmn - eps has the same
     sign at both ends the result has found=False and boundary=nan, which is
     a no-threshold outcome rather than an error. Otherwise the boundary is
     bisected to within `resolution`.
@@ -411,6 +457,13 @@ def threshold_scan(family, scan, bracket, *, n=1.0, mu=None, alpha=None,
         raise ValueError('scan must be "alpha", "beta" or "mu"')
     if scan == "mu" and not asymptotic:
         raise ValueError("scanning mu requires asymptotic=True")
+    if not asymptotic and (n is not None or mu is not None):
+        raise ValueError("n and mu apply only to asymptotic scans")
+    if asymptotic and mu is None and scan != "mu":
+        raise ValueError(f"an asymptotic scan of {scan} needs mu")
+    if {"alpha": alpha, "beta": beta, "mu": mu}[scan] is not None:
+        raise ValueError(f"{scan} is the scanned variable and takes no fixed value")
+    n = 1.0 if n is None else n
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution}")
 

@@ -324,6 +324,20 @@ def test_scan_rejects_value_lists(capsys):
     assert code == 2 and "--mu" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--scan", "alpha", "--grid", "0.42:0.44:0.005", "--n", "5"], "asymptotic"),
+    (["--scan", "alpha", "--grid", "0.42:0.44:0.005", "--mu", "0.3"], "asymptotic"),
+    (["--scan", "alpha", "--grid", "0.42:0.44:0.005", "--alpha", "0.5"], "scanned"),
+    (["--scan", "mu", "--asymptotic", "--grid", "0.93:0.995", "--mu", "0.5"], "scanned"),
+    (["--scan", "alpha", "--asymptotic", "--grid", "0.4:0.5"], "needs mu"),
+], ids=["n-without-asymptotic", "mu-without-asymptotic", "fixed-alpha", "fixed-mu",
+        "asymptotic-without-mu"])
+def test_scan_rejects_options_it_would_ignore(capsys, argv, message):
+    code, out, err = run(capsys, ["scan", "--family", "ghz2"] + argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and message in err
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "sgadmem.cli", "gmn", "--family", "ghz2"],

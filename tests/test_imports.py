@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sgadmem"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sgadmem"
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
@@ -52,3 +53,51 @@ def test_every_private_name_is_used(path):
     referenced = set().union(*(_references(ast.parse(p.read_text())) for p in SRC.glob("*.py")))
     unused = sorted(_private_definitions(ast.parse(path.read_text())) - referenced)
     assert not unused, f"{path.name} defines {unused}, which nothing in {SRC.name} uses"
+
+
+def _class_attributes(tree):
+    # (class, name) for each name assigned in a class body, except the fields
+    # of a dataclass (its annotated names, which its __init__ reads)
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign) and not dataclass:
+                targets = [stmt.target]
+            else:
+                continue
+            found |= {(node.name, t.id) for t in targets if isinstance(t, ast.Name)}
+    return found
+
+
+def _attribute_reads(tree):
+    # (class, name) for self.name read in a method of that class, and
+    # (None, name) for name read on anything else
+    reads = set()
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.ClassDef) else cls
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                on_self = isinstance(child.value, ast.Name) and child.value.id == "self"
+                reads.add((cls if on_self else None, child.attr))
+            visit(child, inner)
+
+    visit(tree, None)
+    return reads
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_class_attribute_is_read(path):
+    # a class attribute that neither its own methods nor any other code in
+    # the package or its benchmark harness reads is dead code; self.name in
+    # another class is that class's own attribute
+    readers = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    reads = set().union(*(_attribute_reads(ast.parse(p.read_text())) for p in readers))
+    unread = sorted(f"{cls}.{name}" for cls, name in _class_attributes(ast.parse(path.read_text()))
+                    if (cls, name) not in reads and (None, name) not in reads)
+    assert not unread, f"{path.name} defines {unread}, which nothing reads"

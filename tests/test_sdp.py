@@ -5,10 +5,10 @@ import pytest
 
 from sgadmem import sdp
 from sgadmem.channel import SgadParams, asymptotic_state
-from sgadmem.linalg import BIPARTITIONS, partial_transpose
+from sgadmem.linalg import BIPARTITIONS, partial_transpose, tensor
 from sgadmem.sdp import CENTRALITY_MIN, SdpProblem, _max_step, _scaling, solve
 from sgadmem.states import make_noisy, make_pure
-from sgadmem.witness import _vec_maps, _witness_program
+from sgadmem.witness import _pauli, _witness_program
 
 
 def sym(a):
@@ -46,7 +46,7 @@ def min_eig_problem(c):
 def dense_witness_program(rho):
     """The witness program of sgadmem.witness as an SdpProblem that holds
     every coefficient matrix, with the same start."""
-    T, _ = _vec_maps()
+    T, _ = _pauli()
     H = T.T.reshape(64, 8, 8)
     eye = np.eye(8)
     # A[k, j, q]: block j of cut k, on the rows of W (q = 0) and of Q_A, Q_B, Q_C
@@ -60,11 +60,13 @@ def dense_witness_program(rho):
     C = np.array([0 * eye, eye, 0 * eye, eye] * 3)
 
     def coords(h):
-        return np.einsum("kab,ba->k", H, h).real
+        # tr(H_k h) for a stack of matrices, by the contraction of witness._coords
+        # on the same shapes, so that b and y0 round as they do there
+        return (h.reshape(h.shape[:-2] + (64,)) @ T.conj()).real
 
     b = np.concatenate([-coords(rho), np.zeros(192)])
     problem = SdpProblem([8] * 12, C, A.reshape(12, 256, 8, 8), b)
-    y0 = np.concatenate([coords(eye / 2)] + [coords(eye / 4)] * 3)
+    y0 = coords(np.array([eye / 2, eye / 4, eye / 4, eye / 4])).ravel()
     return problem, (X0.reshape(12, 8, 8), y0, problem.C - problem.adjoint(y0))
 
 
@@ -233,17 +235,12 @@ def test_solve_matches_per_block_reference():
 
 
 def test_witness_schur_matches_generic(monkeypatch):
-    # The witness program's gathers and Kronecker-form Schur system against
-    # the generic build on the dense program, at the NT points of every
+    # The witness program's sign flips and real Schur blocks against the
+    # generic build on the dense program, at the NT points of every
     # iterate of three solves. Two backward-stable solves of one system
     # agree only to about cond(M) * 1e-16, and cond(M) reaches 1e16 near the
     # optimum, so the 1e-10 agreement is required at ridge 0 where
     # cond(M) <= 1e5, and everywhere at the ridge 1e-5 lambda_max(M).
-    T, _ = _vec_maps()
-    H = T.T.reshape(64, 8, 8)
-    assert np.abs(T.conj().T @ T - np.eye(64)).max() <= 1e-15
-    assert np.array_equal(H, H.conj().swapaxes(1, 2))
-    Tau = np.kron(np.eye(4), T)
     rng = np.random.default_rng(15)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v /= np.linalg.norm(v)
@@ -276,13 +273,13 @@ def test_witness_schur_matches_generic(monkeypatch):
         for W in points:
             M = _ref_schur(dense, W)
             KWW, KWQ, KQQ = problem.arrow(W)
-            K = np.zeros((256, 256), dtype=complex)
+            K = np.zeros((256, 256))
             K[:64, :64] = KWW
             for c in range(3):
                 q = slice(64 * (c + 1), 64 * (c + 2))
-                K[:64, q], K[q, :64], K[q, q] = KWQ[c], KWQ[c].conj().T, KQQ[c]
+                K[:64, q], K[q, :64], K[q, q] = KWQ[c], KWQ[c].T, KQQ[c]
             scale = np.abs(M).max()
-            assert np.abs(Tau.conj().T @ K @ Tau - M).max() <= 1e-12 * scale
+            assert np.abs(K - M).max() <= 1e-12 * scale
             trace, factor = problem.schur(W)
             assert abs(trace - np.trace(M)) <= 1e-12 * np.trace(M)
 
@@ -310,6 +307,38 @@ def test_witness_schur_matches_generic(monkeypatch):
                         passed = False
                     assert passed == definite
     assert well_conditioned >= 10 and reduced_decides >= 5
+
+
+def test_pauli_basis_and_walsh_hadamard_blocks():
+    # The basis against Pauli strings built by Kronecker products, each
+    # partial transpose against the sign table, and arrow's Walsh-Hadamard
+    # blocks against the Kronecker form Re(T^H (W_b (x) W_b^T) T) of the
+    # Schur complement, summed over the P and the Q pair of each cut
+    T, s = _pauli()
+    H = T.T.reshape(64, 8, 8)
+    X, Z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    factor = {(0, 0): np.eye(2), (1, 0): X, (0, 1): Z, (1, 1): 1j * X @ Z}  # i XZ = Y
+    for k in range(64):
+        x, z = divmod(k, 8)
+        string = tensor(*[factor[x >> q & 1, z >> q & 1] for q in (2, 1, 0)])  # qubit A is the top bit
+        assert np.abs(H[k] - string / np.sqrt(8)).max() <= 1e-16
+    assert np.abs(T.conj().T @ T - np.eye(64)).max() <= 1e-15
+    assert np.array_equal(H, H.conj().swapaxes(1, 2))
+    for c, cut in enumerate(BIPARTITIONS):
+        assert np.array_equal(partial_transpose(H, cut), s[c][:, None, None] * H)
+
+    rng = np.random.default_rng(16)
+    problem = _witness_program(np.eye(8) / 8)[0]
+    herm = np.array([rand_herm(rng, 8) for _ in range(12)])
+    for W in (herm, random_pd_stack(rng, 12, 8, 1e6), random_pd_stack(rng, 12, 8, 1e12)):
+        B = np.array([(T.conj().T @ np.kron(w, w.T) @ T).real for w in W]).reshape(3, 2, 2, 64, 64)
+        P, Q = B[:, 0].sum(axis=1), B[:, 1].sum(axis=1)
+        S = s[:, :, None] * np.eye(64)
+        expected = P.sum(axis=0), -P @ S, S @ P @ S + Q
+        scale = np.abs(P).max()
+        for got, want in zip(problem.arrow(W), expected):
+            assert got.shape == want.shape and got.dtype == float
+            assert np.abs(got - want).max() <= 1e-13 * scale
 
 
 def random_pd_stack(rng, k, d, cond):

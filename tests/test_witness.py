@@ -440,6 +440,12 @@ def test_threshold_scan_validation():
         threshold_scan("ghz1", "mu", (0.0, 1.0))  # mu needs asymptotic=True
     with pytest.raises(ValueError):
         threshold_scan("ghz1", "alpha", (0.9, 0.3))
+    # a value the scan would ignore, and an asymptotic weight scan without mu
+    for kwargs in (dict(n=5.0), dict(mu=0.3), dict(alpha=0.5), dict(asymptotic=True)):
+        with pytest.raises(ValueError):
+            threshold_scan("ghz1", "alpha", (0.6, 0.9), **kwargs)
+    with pytest.raises(ValueError, match="scanned"):
+        threshold_scan("ghz2", "mu", (0.94, 0.98), alpha=0.398, mu=0.5, asymptotic=True)
     for resolution in (0.0, -1.0, math.nan):
         # (0.6, 0.9) has no sign change, so a scan that probed would return
         with pytest.raises(ValueError, match="resolution"):
