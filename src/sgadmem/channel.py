@@ -51,7 +51,6 @@ class CpViolationError(ValueError):
 
     def __init__(self, offenders, n, m, wt, radicands):
         self.offenders = tuple(offenders)
-        self.params = (n, m, wt)
         self.radicands = dict(radicands)
         vals = ", ".join(f"{k}^2={radicands[k]:.6e}" for k in offenders)
         super().__init__(

@@ -43,20 +43,18 @@ M_ij = sum_b Re tr(A_i W_b A_j W_b): factor(ridge) raises LinAlgError
 unless M + ridge I is positive definite, and otherwise returns the
 function r -> (M + ridge I)^{-1} r. The ridge schedule lives in solve
 alone: ridge 0 first, then 1e-12 (tr M / m + 1), multiplied by 100 on
-each further failure, and "numerical-failure" after four. How M is held,
-tested and solved is up to the problem.
+each further failure, and "numerical-failure" after four. Both direction
+solves of an iteration use the one factor the schedule accepts. How M is
+held, tested and solved is up to the problem.
 
-SdpProblem is the generic problem, which the small test programs use.
-Each block touches only the rows whose coefficient matrix is nonzero in
-it, so its dense Schur complement adds each block's products over those
-rows alone (Fujisawa, Kojima & Nakata, Math. Program. 79, 235 (1997)), and
-A and its adjoint run over the same rows. Cholesky only tests that
-M + ridge I is positive definite; each direction is one LU solve of the
-ridged M, because numpy has no triangular solve. Rows are not screened,
-so they must be linearly independent (the Schur complement of dependent
-rows is singular). The witness program of the witness module (twelve 8x8
-Hermitian blocks, 256 rows) holds no coefficient array and builds no
-m x m matrix: witness._WitnessProgram derives its real Schur system.
+SdpProblem is the generic problem, which the small test programs use. It
+holds every coefficient matrix, builds M dense, tests M + ridge I by
+Cholesky and solves it by LU, because numpy has no triangular solve. Rows
+are not screened, so they must be linearly independent (the Schur
+complement of dependent rows is singular). The witness program of the
+witness module (twelve 8x8 Hermitian blocks, 256 rows) holds no
+coefficient array and builds no m x m matrix: witness._WitnessProgram
+derives its real Schur system.
 """
 
 from dataclasses import dataclass, field
@@ -79,66 +77,47 @@ def _sym(a):
 class SdpProblem:
     """Validated standard-form problem over k blocks of one size d.
 
-    block_dims: list of the k block sizes, all equal to d.
     C: (k, d, d) Hermitian cost matrices.
     A: (k, m, d, d) constraint coefficients, each (d, d) slice Hermitian.
     b: real right-hand side vector (m,).
 
-    Construction checks the sizes, the shapes and the Hermiticity of every
-    coefficient matrix, and records for each block the rows whose
-    coefficient matrix is nonzero (rows[b]) with conj(A_i) flattened for
-    those rows only (Aconj[b], shape (len(rows[b]), d^2)); every product
-    with A runs over these rows alone.
+    k and d are read from C. Construction checks the shapes and the
+    Hermiticity of every coefficient matrix.
     """
 
-    def __init__(self, block_dims, C, A, b):
-        self.block_dims = list(block_dims)
-        if len(set(self.block_dims)) != 1:
-            raise ValueError(f"blocks must all have one size, got {self.block_dims}")
+    def __init__(self, C, A, b):
+        sizes = [len(c) for c in C]
+        if len(set(sizes)) != 1:
+            raise ValueError(f"blocks must all have one size, got {sizes}")
         self.C = np.asarray(C)
         self.A = np.asarray(A)
         self.b = np.asarray(b, dtype=float).copy()
-        k, d, m = len(self.block_dims), self.block_dims[0], self.b.size
+        k, d, m = len(sizes), sizes[0], self.b.size
         if self.C.shape != (k, d, d):
             raise ValueError(f"objective shape {self.C.shape} != ({k},{d},{d})")
         if self.A.shape != (k, m, d, d):
             raise ValueError(f"constraint shape {self.A.shape} != ({k},{m},{d},{d})")
-        self.rows, self.Aconj = [], []
-        # block by block, which keeps the temporaries one block in size
-        for c, a in zip(self.C, self.A):
-            if np.abs(c - _h(c)).max() > SYM_TOL:
-                raise ValueError("objective block is not Hermitian")
-            if m and np.abs(a - _h(a)).max() > SYM_TOL:
-                raise ValueError("constraint coefficient block is not Hermitian")
-            flat = a.reshape(m, d * d)
-            rows = np.flatnonzero(np.any(flat != 0, axis=1))
-            self.rows.append(rows)
-            self.Aconj.append(flat[rows].conj())
+        if np.abs(self.C - _h(self.C)).max() > SYM_TOL:
+            raise ValueError("objective block is not Hermitian")
+        if m and np.abs(self.A - _h(self.A)).max() > SYM_TOL:
+            raise ValueError("constraint coefficient block is not Hermitian")
 
     # -- operator A and its adjoint on (k, d, d) arrays --------------------
 
     def apply(self, X):
-        # tr(A_i X) = sum conj(A_i) * X for Hermitian A_i
-        out = np.zeros(self.b.size)
-        for rows, aconj, x in zip(self.rows, self.Aconj, X):
-            out[rows] += (aconj @ x.ravel()).real
-        return out
+        # tr(A_i X) = sum A_i * X^T, over every block
+        return np.einsum("kiab,kba->i", self.A, X).real
 
     def adjoint(self, y):
-        d = self.block_dims[0]
-        return np.array([_sym((y[rows] @ aconj).conj().reshape(d, d))
-                         for rows, aconj in zip(self.rows, self.Aconj)])
+        return _sym(np.tensordot(y, self.A, axes=(0, 1)))
 
     def schur(self, W):
-        """tr M and factor at the NT points W (see the module docstring).
-        M is built dense, each block adding its products over its own rows;
-        factor tests M + ridge I by Cholesky and solves it by LU."""
-        d, m = W.shape[-1], self.b.size
-        M = np.zeros((m, m))
-        for w, rows, aconj in zip(W, self.rows, self.Aconj):
-            WAW = w @ aconj.conj().reshape(-1, d, d) @ w
-            M[np.ix_(rows, rows)] += (aconj @ WAW.reshape(rows.size, -1).T).real
-        M = _sym(M)
+        """tr M and factor at the NT points W, as the module docstring
+        states them."""
+        m = self.b.size
+        WAW = W[:, None] @ self.A @ W[:, None]
+        # tr(A_i Y) = sum conj(A_i) * Y for Hermitian A_i
+        M = _sym(np.tensordot(self.A.conj(), WAW, axes=([0, 2, 3], [0, 2, 3])).real)
 
         def factor(ridge):
             Mr = M + ridge * np.eye(m)
@@ -211,25 +190,14 @@ def _steps(Lxi, Lsi, dX, dS):
 
 
 def solve(problem, tol=1e-8, max_iter=100, start=None):
-    """Run the interior-point iteration.
+    """Run the interior-point iteration of the module docstring: its steps,
+    centering rule and ridge schedule.
 
     ``start`` may supply (X0, y0, S0), X0 and S0 of shape (k, d, d) with
     every block strictly positive definite; otherwise the identity
     infeasible start X = S = I, y = 0 is used. Status is one of "optimal",
     "max-iterations", "numerical-failure"; non-optimal exits still return
-    the last iterate.
-
-    Every iteration steps 0.98 of the way to the boundary of the cone. When
-    the centrality min_b lambda_min(Lx_b^H S_b Lx_b) / mu (X_b = Lx_b Lx_b^H),
-    read off the singular values of Ls_b^H Lx_b that also give the NT point,
-    is below the module constant CENTRALITY_MIN, the step is a pure
-    centering step (sigma = 1, no Mehrotra term) that pulls the iterate
-    back towards the central path before the gap is reduced further;
-    otherwise it is a Mehrotra predictor-corrector step. The threshold is
-    fixed, not a parameter. Both direction solves of an iteration use the
-    one factorization of the Schur system that problem.schur returns, with
-    the smallest ridge of the schedule in the module docstring that passes
-    its definiteness test. tol must be finite and positive.
+    the last iterate. tol must be finite and positive.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")

@@ -23,10 +23,9 @@ FAMILIES = tuple(_PURE_SUPPORT)
 
 
 class StateValidationError(ValueError):
-    """Carries the list of violated density-matrix invariants."""
+    """Its message lists every violated density-matrix invariant."""
 
     def __init__(self, violations):
-        self.violations = tuple(violations)
         super().__init__("; ".join(violations))
 
 

@@ -177,7 +177,8 @@ class _WitnessProgram:
     M + ridge I is positive definite exactly when all four factors exist.
     """
 
-    block_dims = [8] * 12  # the block sizes, as SdpProblem records them
+    # read only by the benchmark's tracer; it goes with the benchmark's next change
+    block_dims = [8] * 12
 
     def __init__(self, rho):
         eye = np.eye(8)

@@ -280,7 +280,7 @@ def test_c12_property_suites():
         g = rng.normal(size=(6, 6))
         a = (g + g.T) / 2.0
         lam = float(np.linalg.eigvalsh(a)[0])
-        prob = SdpProblem([6], [a], [np.eye(6)[None]], [1.0])
+        prob = SdpProblem([a], [np.eye(6)[None]], [1.0])
         start = ([np.eye(6) / 6.0], np.array([lam - 1.0]),
                  [a - (lam - 1.0) * np.eye(6)])
         sol = solve(prob, start=start)

@@ -21,6 +21,12 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} never uses {unused}"
 
 
+def _assign_targets(stmt):
+    if isinstance(stmt, ast.Assign):
+        return stmt.targets
+    return [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+
+
 def _private_definitions(tree):
     # module-level functions, classes and assignments whose name starts with
     # one underscore (dunder names such as __all__ are read by Python itself)
@@ -28,9 +34,9 @@ def _private_definitions(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        else:
+            names |= {n.id for t in _assign_targets(node) for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
@@ -57,20 +63,22 @@ def test_every_private_name_is_used(path):
 
 def _class_attributes(tree):
     # (class, name) for each name assigned in a class body, except the fields
-    # of a dataclass (its annotated names, which its __init__ reads)
+    # of a dataclass (its annotated names, which its __init__ reads), and for
+    # each self.name assigned in one of its methods
     found = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
         dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
         for stmt in node.body:
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            elif isinstance(stmt, ast.AnnAssign) and not dataclass:
-                targets = [stmt.target]
-            else:
-                continue
-            found |= {(node.name, t.id) for t in targets if isinstance(t, ast.Name)}
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(node.name, t.attr) for inner in ast.walk(stmt)
+                          for target in _assign_targets(inner) for t in ast.walk(target)
+                          if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                          and isinstance(t.value, ast.Name) and t.value.id == "self"}
+            elif not (dataclass and isinstance(stmt, ast.AnnAssign)):
+                found |= {(node.name, t.id) for t in _assign_targets(stmt)
+                          if isinstance(t, ast.Name)}
     return found
 
 
@@ -93,9 +101,9 @@ def _attribute_reads(tree):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_class_attribute_is_read(path):
-    # a class attribute that neither its own methods nor any other code in
-    # the package or its benchmark harness reads is dead code; self.name in
-    # another class is that class's own attribute
+    # a class or instance attribute that neither its own methods nor any
+    # other code in the package or its benchmark harness reads is dead code;
+    # self.name in another class is that class's own attribute
     readers = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     reads = set().union(*(_attribute_reads(ast.parse(p.read_text())) for p in readers))
     unread = sorted(f"{cls}.{name}" for cls, name in _class_attributes(ast.parse(path.read_text()))

@@ -36,7 +36,7 @@ def random_local_frame(rng, rho):
 
 def min_eig_problem(c):
     d = c.shape[0]
-    return SdpProblem([d], [c], [np.eye(d)[None]], [1.0])
+    return SdpProblem([c], [np.eye(d)[None]], [1.0])
 
 
 # -- slow-path reference: the witness program as a generic SdpProblem with
@@ -65,7 +65,7 @@ def dense_witness_program(rho):
         return (h.reshape(h.shape[:-2] + (64,)) @ T.conj()).real
 
     b = np.concatenate([-coords(rho), np.zeros(192)])
-    problem = SdpProblem([8] * 12, C, A.reshape(12, 256, 8, 8), b)
+    problem = SdpProblem(C, A.reshape(12, 256, 8, 8), b)
     y0 = coords(np.array([eye / 2, eye / 4, eye / 4, eye / 4])).ravel()
     return problem, (X0.reshape(12, 8, 8), y0, problem.C - problem.adjoint(y0))
 
@@ -76,8 +76,8 @@ def _ref_apply(problem, X):
 
 
 def _ref_adjoint(problem, y):
-    return [sym((a.reshape(problem.b.size, -1).T @ y).reshape(d, d))
-            for a, d in zip(problem.A, problem.block_dims)]
+    return [sym((a.reshape(problem.b.size, -1).T @ y).reshape(c.shape))
+            for a, c in zip(problem.A, problem.C)]
 
 
 def _ref_tr2(a, b):
@@ -128,7 +128,7 @@ def _ref_max_step(v, dv):
 
 def reference_solve(problem, tol=1e-8, max_iter=100, start=None):
     """Returns (status, dual objective, iterations)."""
-    dims = problem.block_dims
+    dims = [len(c) for c in problem.C]
     nb = len(dims)
     m = problem.b.size
     bnorm = 1.0 + np.linalg.norm(problem.b)
@@ -225,8 +225,6 @@ def test_solve_matches_per_block_reference():
     ]
     for rho in states:
         dense, dense_start = dense_witness_program(rho)
-        # W - Q^T and I - W + Q^T touch the W and Q_M rows, Q and I - Q the Q_M rows
-        assert [r.size for r in dense.rows] == [128, 128, 64, 64] * 3
         problem, start = _witness_program(rho)
         sol = solve(problem, start=start)
         status, dual_obj, _ = reference_solve(dense, start=dense_start)
@@ -348,6 +346,27 @@ def random_pd_stack(rng, k, d, cond):
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
+def test_generic_problem_matches_reference_at_256_rows():
+    # SdpProblem's contractions over all blocks and rows against the
+    # block-by-block references, on the complex 256-row dense witness
+    # program. With the ridge 1e-5 lambda_max(M), cond(M + ridge I) <= 1e5,
+    # so the two inverses agree to 1e-10.
+    rng = np.random.default_rng(17)
+    problem, _ = dense_witness_program(random_local_frame(rng, make_noisy("ghz2", alpha=0.7091)))
+    for cond in (1e2, 1e6, 1e12):
+        X, W = random_pd_stack(rng, 12, 8, cond), random_pd_stack(rng, 12, 8, cond)
+        y = rng.normal(size=256)
+        assert np.abs(problem.apply(X) - _ref_apply(problem, X)).max() <= 1e-14
+        assert np.abs(problem.adjoint(y) - _ref_adjoint(problem, y)).max() <= 1e-14
+        M = _ref_schur(problem, W)
+        trace, factor = problem.schur(W)
+        assert abs(trace - np.trace(M)) <= 1e-12 * np.trace(M)
+        ridge = 1e-5 * np.linalg.eigvalsh(M)[-1]
+        eye = np.eye(256)
+        ref = np.linalg.solve(M + ridge * eye, eye)
+        assert np.abs(factor(ridge)(eye) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_factor_kernel_matches_eigh_reference():
     # The NT point, S^{-1}, centrality and step length from one Cholesky pair
     # and one SVD, against the eigh formulas of reference_solve. With X and S
@@ -387,7 +406,7 @@ def assert_matches_reference(problem, sol):
 def test_forced_value_example():
     # min tr(X) s.t. X_11 = 1 -> 1
     d = 3
-    prob = SdpProblem([d], [np.eye(d)], [unit(d, 0, 0)[None]], [1.0])
+    prob = SdpProblem([np.eye(d)], [unit(d, 0, 0)[None]], [1.0])
     sol = solve(prob)
     assert sol.status == "optimal"
     assert abs(sol.primal_obj - 1.0) < 1e-6
@@ -409,8 +428,7 @@ def test_min_eigenvalue_20_random():
 def test_two_blocks_min_eig():
     rng = np.random.default_rng(1)
     c1, c2 = sym(rng.normal(size=(4, 4))), sym(rng.normal(size=(4, 4)))
-    prob = SdpProblem([4, 4], [c1, c2],
-                      [np.eye(4)[None], np.eye(4)[None]], [1.0])
+    prob = SdpProblem([c1, c2], [np.eye(4)[None], np.eye(4)[None]], [1.0])
     sol = solve(prob)
     target = min(np.linalg.eigvalsh(c1)[0], np.linalg.eigvalsh(c2)[0])
     assert abs(sol.primal_obj - target) < 1e-6
@@ -438,9 +456,7 @@ def test_diagonal_lp_vs_vertex_enumeration():
             if xv.min() < -1e-12:
                 continue
             best = min(best, c[i] * xv[0] + c[j] * xv[1])
-        prob = SdpProblem(
-            [d], [np.diag(c)],
-            [np.array([np.diag(A[0]), np.diag(A[1])])], b)
+        prob = SdpProblem([np.diag(c)], [np.array([np.diag(A[0]), np.diag(A[1])])], b)
         sol = solve(prob)
         assert sol.status == "optimal"
         assert abs(sol.primal_obj - best) < 1e-6
@@ -466,8 +482,7 @@ def test_complementarity_at_optimum():
     real = (sym(rng.normal(size=(4, 4))), sym(rng.normal(size=(4, 4))))
     hermitian = (rand_herm(rng, 4), rand_herm(rng, 4))
     for c1, c2 in (real, hermitian):
-        prob = SdpProblem([4, 4], [c1, c2],
-                          [np.eye(4)[None], np.eye(4)[None]], [1.0])
+        prob = SdpProblem([c1, c2], [np.eye(4)[None], np.eye(4)[None]], [1.0])
         sol = solve(prob)
         assert sol.status == "optimal"
         assert_matches_reference(prob, sol)
@@ -479,12 +494,10 @@ def test_orthogonal_remixing_invariance():
     rng = np.random.default_rng(5)
     c = sym(rng.normal(size=(5, 5)))
     a1 = sym(rng.normal(size=(5, 5)))
-    prob = SdpProblem([5], [c], [np.stack([np.eye(5), a1])],
-                      [1.0, float(np.trace(a1) / 5.0)])
+    prob = SdpProblem([c], [np.stack([np.eye(5), a1])], [1.0, float(np.trace(a1) / 5.0)])
     base = solve(prob)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-    rot = SdpProblem([5], [q @ c @ q.T],
-                     [np.stack([np.eye(5), q @ a1 @ q.T])], prob.b)
+    rot = SdpProblem([q @ c @ q.T], [np.stack([np.eye(5), q @ a1 @ q.T])], prob.b)
     mixed = solve(rot)
     assert base.status == mixed.status == "optimal"
     assert abs(base.primal_obj - mixed.primal_obj) <= 2e-8 * (1 + abs(base.primal_obj))
@@ -503,20 +516,21 @@ def test_data_validation():
     bad = np.zeros((3, 3))
     bad[0, 1] = 1.0  # not symmetric
     with pytest.raises(ValueError):
-        SdpProblem([3], [bad], [np.eye(3)[None]], [1.0])
+        SdpProblem([bad], [np.eye(3)[None]], [1.0])
     with pytest.raises(ValueError):
-        SdpProblem([3], [np.eye(3)], [bad[None]], [1.0])
-    with pytest.raises(ValueError):
-        SdpProblem([3], [np.eye(2)], [np.eye(3)[None]], [1.0])
+        SdpProblem([np.eye(3)], [bad[None]], [1.0])
+    # C and A disagree on the block size
+    with pytest.raises(ValueError, match="constraint shape"):
+        SdpProblem([np.eye(2)], [np.eye(3)[None]], [1.0])
     # complex symmetric but not Hermitian
     bad = np.array([[0.0, 1j], [1j, 0.0]])
     with pytest.raises(ValueError):
-        SdpProblem([2], [bad], [np.eye(2)[None]], [1.0])
+        SdpProblem([bad], [np.eye(2)[None]], [1.0])
     with pytest.raises(ValueError):
-        SdpProblem([2], [np.eye(2)], [bad[None]], [1.0])
+        SdpProblem([np.eye(2)], [bad[None]], [1.0])
     # every block has one size
     with pytest.raises(ValueError, match="one size"):
-        SdpProblem([3, 4], [np.eye(3), np.eye(4)], [np.eye(3)[None], np.eye(4)[None]], [1.0])
+        SdpProblem([np.eye(3), np.eye(4)], [np.eye(3)[None], np.eye(4)[None]], [1.0])
 
 
 def test_tolerance_must_be_finite_and_positive():
