@@ -9,6 +9,7 @@ from .channel import (
     apply_memory,
     apply_uncorrelated,
     asymptotic_state,
+    asymptotic_states,
     choi_matrix,
     integrate_master,
     kraus_single,

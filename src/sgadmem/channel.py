@@ -24,6 +24,7 @@ operator set as printed; ``integrate_master`` implements the generator. They
 agree on the diagonal sector only. See README for the full account.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -192,17 +193,29 @@ def _correlated_superop(p, t):
     return s
 
 
-def _memory_superop(p, t, mu, clamp=False):
-    """64x64 superoperator of apply_memory; mu = 1 never builds the operator set."""
+def _uncorrelated_superop(p, t, clamp=False):
+    """64x64 superoperator of apply_uncorrelated: _single_superop on each qubit."""
+    s = _single_superop(p, t, clamp).reshape(2, 2, 2, 2)  # (row out, col out, row in, col in)
+    return np.einsum("adgj,behk,cfil->abcdefghijkl", s, s, s).reshape(64, 64)
+
+
+def _mixture(mu, correlated, uncorrelated):
+    """mu * correlated + (1 - mu) * uncorrelated, with the two 64x64 maps
+    given as functions that return them. An endpoint calls only the one it
+    uses, so mu = 1 never builds the operator set."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
     if mu == 1.0:
-        return _correlated_superop(p, t)
-    s = _single_superop(p, t, clamp).reshape(2, 2, 2, 2)  # (row out, col out, row in, col in)
-    unc = np.einsum("adgj,behk,cfil->abcdefghijkl", s, s, s).reshape(64, 64)  # s on each qubit
+        return correlated()
     if mu == 0.0:
-        return unc
-    return mu * _correlated_superop(p, t) + (1 - mu) * unc
+        return uncorrelated()
+    return mu * correlated() + (1 - mu) * uncorrelated()
+
+
+def _memory_superop(p, t, mu, clamp=False):
+    """64x64 superoperator of apply_memory."""
+    return _mixture(mu, lambda: _correlated_superop(p, t),
+                    lambda: _uncorrelated_superop(p, t, clamp))
 
 
 def _apply(s, rho):
@@ -224,7 +237,7 @@ def apply_uncorrelated(rho, p, t):
     the same linear map; a test materializes all 64 products once to pin the
     equivalence.
     """
-    return _apply(_memory_superop(p, t, 0.0), rho)
+    return _apply(_uncorrelated_superop(p, t), rho)
 
 
 def apply_correlated(rho, p, t):
@@ -263,6 +276,20 @@ def asymptotic_state(rho, p, mu):
     populations while leaving the inner block alone.
     """
     return apply_memory(rho, p, math.inf, mu)
+
+
+def asymptotic_states(rhos, p, mus):
+    """asymptotic_state(rho, p, mu) for every rho in rhos and mu in mus, as
+    an array (len(rhos), len(mus), 8, 8), bit for bit. Each t -> inf map is
+    built at most once per call, when a mu first needs it."""
+    correlated = functools.cache(functools.partial(_correlated_superop, p, math.inf))
+    uncorrelated = functools.cache(functools.partial(_uncorrelated_superop, p, math.inf))
+    out = np.empty((len(rhos), len(mus), 8, 8), dtype=complex)
+    for k, mu in enumerate(mus):
+        s = _mixture(mu, correlated, uncorrelated)
+        for i, rho in enumerate(rhos):
+            out[i, k] = _apply(s, rho)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,8 +8,10 @@ Subcommands:
   gmn         genuine negativity of one state (family or JSON file)
   scan        bisection for a gmn > 0 threshold
 
-Sweep output is deterministic: tasks are enumerated in grid order, results
-are collected by index regardless of worker scheduling, and floats are
+An asymptotic sweep builds each n's two t -> inf maps once and computes
+every row's state in the parent; workers only measure the states. Sweep
+output is deterministic: tasks are enumerated in grid order, results are
+collected by index regardless of worker scheduling, and floats are
 rendered with a fixed 12-significant-digit format, so identical configs
 produce byte-identical files at any --workers value.
 
@@ -21,6 +23,7 @@ threshold; rows are still written).
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import sys
@@ -34,14 +37,15 @@ from .channel import (
     apply_correlated,
     apply_memory,
     apply_uncorrelated,
-    asymptotic_state,
+    asymptotic_states,
     choi_matrix,
     integrate_master,
     kraus_single,
 )
 from .linalg import hermitian_eigenvalues
-from .states import FAMILIES, StateValidationError, load_state, make_noisy, make_pure, save_state
-from .witness import XSTATE_PAIRS, gmn, threshold_scan, xstate_criterion
+from .states import (FAMILIES, StateValidationError, load_state, make_noisy, make_pure,
+                     save_state, validate)
+from .witness import _xstate_sides, gmn, threshold_scan
 
 SWEEP_COLUMNS = ("family", "param", "n", "mu", "gmn", "neg_A_BC", "neg_B_AC",
                  "neg_C_AB", "xstate_margin", "status")
@@ -135,9 +139,10 @@ def _state_from_args(args):
 
 
 def _measure_row(rho, tol):
-    """gmn + negativities + worst antidiagonal margin for one state."""
+    """gmn + negativities + worst antidiagonal margin for one state; the
+    margins of all four pairs come from one validation."""
     report = gmn(rho, tol=tol)
-    margin = max(xstate_criterion(rho, pair).margin for pair in XSTATE_PAIRS)
+    margin = max(lhs - rhs for lhs, rhs in _xstate_sides(validate(rho)))
     negs = report.negativities
     return (report.value, negs["A|BC"], negs["B|AC"], negs["C|AB"], margin,
             report.status)
@@ -250,12 +255,6 @@ def _run_evolve(args):
 
 # -- asymptotic sweep ------------------------------------------------------
 
-def _sweep_point(task):
-    family, param, rho0, n, mu, tol = task
-    rho = asymptotic_state(rho0, SgadParams(1.0, n, 0.0), mu)
-    return (family, param, n, mu, *_measure_row(rho, tol))
-
-
 def _run_asymptotic(args):
     if not args.family:
         raise ValueError("need --family")
@@ -266,26 +265,26 @@ def _run_asymptotic(args):
     family = args.family.lower()
     weight, values = _weights(args, family)
     weights = values or [1.0 if weight == "alpha" else 0.0]  # the pure state
-    # a bad weight, --n or mu is an input error (exit 2), not a sweep of error rows
+    # a bad weight, --n or mu is an input error (exit 2), not a sweep of error
+    # rows: every row's state is computed here, before any row is measured
     states = [make_noisy(family, **{weight: w}) for w in weights]
-    for n in args.n:
-        SgadParams(1.0, n, 0.0)
+    params = [SgadParams(1.0, n, 0.0) for n in args.n]
     if args.grid:
         mus = _grid(args.grid)
     else:
         mus = args.mu if args.mu is not None else _grid("0:1:0.01")
-    for mu in mus:
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    tasks = [(family, w, rho0, n, mu, args.tol)
-             for w, rho0 in zip(weights, states) for n in args.n for mu in mus]
+    # rows in the order weight, n, mu
+    rhos = np.stack([asymptotic_states(states, p, mus) for p in params], axis=1).reshape(-1, 8, 8)
+    keys = [(family, w, n, mu) for w in weights for n in args.n for mu in mus]
+    measure = functools.partial(_measure_row, tol=args.tol)
     # a fork-started pool forks every worker on the first submit
-    workers = min(args.workers, len(tasks))
+    workers = min(args.workers, len(keys))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks, chunksize=8))
+            measured = list(pool.map(measure, rhos, chunksize=8))
     else:
-        rows = [_sweep_point(t) for t in tasks]
+        measured = [measure(rho) for rho in rhos]
+    rows = [(*key, *values) for key, values in zip(keys, measured)]
     solver_trouble = any(r[-1] != "optimal" for r in rows)
     _emit(SWEEP_COLUMNS, rows, args.out, args.format)
     return 3 if solver_trouble else 0
@@ -342,13 +341,13 @@ def _run_scan(args):
 
 # each option once; a subcommand takes only the options it reads
 OPTIONS = {
-    "--n": dict(default=[1.0], help="bath occupation (comma list where a sweep applies)"),
-    "--m": dict(default=[0.0], help="squeezing parameter (default 0)"),
+    "--n": dict(default=(1.0,), help="bath occupation (comma list where a sweep applies)"),
+    "--m": dict(default=(0.0,), help="squeezing parameter (default 0)"),
     "--mu": dict(default=None, help="memory weight in [0,1]"),
     "--alpha": dict(default=None, help="GHZ-family mixture weight(s)"),
     "--beta": dict(default=None, help="W-family mixture weight(s)"),
     "--family": dict(choices=sorted(FAMILIES), default=None),
-    "--omega-t": dict(default=[0.1, 1.0, 10.0], help="dimensionless time grid (comma list)"),
+    "--omega-t": dict(default=(0.1, 1.0, 10.0), help="dimensionless time grid (comma list)"),
     "--grid": dict(default=None, help="start:stop:step parameter grid (scan: LO:HI[:RES])"),
     "--out": dict(default=None, help="output file (default stdout)"),
     "--workers": dict(type=int, default=1),
@@ -361,7 +360,10 @@ STATE = ("--family", "--alpha", "--beta")
 FLOAT_LISTS = ("--n", "--m", "--mu", "--alpha", "--beta", "--omega-t")
 
 
+@functools.cache
 def build_parser():
+    """The parser of main, built on first use and shared by every later call
+    (so the list defaults in OPTIONS are tuples, which no call can change)."""
     p = argparse.ArgumentParser(
         prog="sgadmem",
         description="Three-qubit damping channels with memory and genuine "

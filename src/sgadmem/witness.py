@@ -22,14 +22,11 @@ derives the program and its real Schur system. Both sides have a strictly
 feasible start in closed form (W = I/2, Q_M = I/4), which keeps every
 iterate feasible and the duality gap nonnegative throughout.
 
-Every answer carries a bracket lower <= E <= upper built in closed form
-from feasible points of the two sides (in the spirit of Jansson, Chaykin &
-Keil, SIAM J. Numer. Anal. 46, 180 (2007)): any feasible witness gives a
-lower bound and, by weak duality, any feasible primal point an upper bound.
-A state that is PPT across one cut is a PPT mixture, so its E is 0
-(Jungnitsch, Moroder & Gühne, PRL 106, 190502 (2011)); gmn certifies that
-from the partial-transpose spectra it computes anyway and runs no
-interior-point iteration (see gmn).
+Every answer carries a bracket lower <= E <= upper in closed form (in the
+spirit of Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 180 (2007)),
+and a state that is PPT across one cut, a PPT mixture with E = 0
+(Jungnitsch, Moroder & Gühne, PRL 106, 190502 (2011)), runs no
+interior-point iteration; see _bracket.
 
 Also here: bipartite negativity and PPT checks, the antidiagonal
 coherence-vs-populations inequality for X-shaped states, its closed-form
@@ -257,12 +254,9 @@ class GmnReport:
 
     value is E(rho) = max(0, -2 min tr(W rho)) over the witnesses W of the
     program, and satisfies tr(witness . rho) = -value/2 whenever the state is
-    detected. lower <= E <= upper is the certified bracket of gmn: lower
-    comes from a feasible witness and upper from a feasible primal point,
-    both in closed form. A state that is PPT across some cut gets value 0.0,
-    the zero matrix as witness, status "optimal", 0 iterations and the
-    bracket [0, 16 eps'] with gap 8 eps' (see gmn). Results with status other
-    than "optimal" should not be trusted; their bracket still holds.
+    detected. lower <= E <= upper is the certified bracket (see _bracket).
+    Results with status other than "optimal" should not be trusted; their
+    bracket still holds.
     """
     value: float
     witness: np.ndarray
@@ -275,7 +269,19 @@ class GmnReport:
 
 
 def _bracket(problem, sol, y0, rho, ppt_upper):
-    """Closed-form bounds lower <= E <= upper around an approximate solution.
+    """The certified bracket lower <= E <= upper of gmn, in closed form: a
+    feasible witness gives a lower bound and, by weak duality, a feasible
+    primal point an upper bound.
+
+    PPT: with lambda the largest smallest eigenvalue of rho^{T_M} over the
+    cuts and eps' = max(0, -lambda), the point X1_M = rho,
+    X3_M = rho^{T_M} + eps' I, X4_M = eps' I on the best cut M (all other
+    blocks 0) is primal feasible, since sum_M (X1_M - X2_M) = rho and
+    (X1_M - X2_M)^{T_M} = X3_M - X4_M. Its objective tr(X4_M) = 8 eps'
+    gives E <= ppt_upper = 16 eps', and y = 0 (W = 0, Q_M = 0) is dual
+    feasible with objective 0. gmn returns [0, 16 eps'] (gap 8 eps') with
+    no iteration when 16 eps' <= tol, the width asked of the solve it
+    replaces. Otherwise, around its approximate solution sol:
 
     lower: the final y may leave some slack block slightly indefinite. With
     delta its worst negative eigenvalue over the twelve blocks and y0's
@@ -285,9 +291,8 @@ def _bracket(problem, sol, y0, rho, ppt_upper):
     X1_A; set X3_M = (X1_M - X2_M)^{T_M} + X4_M, which clears the Q_M rows;
     then shift each pair (X1_M, X2_M) and (X3_M, X4_M) by t I, which keeps
     their difference, until both are PSD. The point is primal feasible, so
-    by weak duality E <= max(0, 2 sum_M tr(X2_M + X4_M)). The PPT point of
-    gmn is feasible too, so upper is at most ppt_upper; it stands in for a
-    side whose iterate is not finite.
+    by weak duality E <= max(0, 2 sum_M tr(X2_M + X4_M)). upper is at most
+    ppt_upper, which stands in for a side whose iterate is not finite.
     """
     lower, upper = 0.0, ppt_upper
     slacks = problem.C - problem.adjoint(sol.y)
@@ -313,19 +318,10 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
     """Genuine negativity of a three-qubit state via the witness SDP.
 
     The spectra of the three partial transposes give the negativities and
-    a PPT certificate. Let lambda be the largest smallest eigenvalue over
-    the cuts and eps' = max(0, -lambda). On the best cut M the point
-    X1_M = rho, X3_M = rho^{T_M} + eps' I, X4_M = eps' I (all other blocks
-    0) is primal feasible: sum_M (X1_M - X2_M) = rho and
-    (X1_M - X2_M)^{T_M} = X3_M - X4_M. Its objective tr(X4_M) = 8 eps'
-    gives E <= 16 eps', while y = 0 (W = 0, Q_M = 0) is dual feasible with
-    objective 0. So when lambda >= -eps with eps = tol/16, the answer is
-    value 0.0 with the zero matrix as witness, bracket [0, 16 eps'],
-    gap 8 eps', status "optimal" and 0 iterations: 16 eps' <= 16 eps = tol,
-    so the bracket is no wider than the tolerance asked of the solve it
-    replaces. Every other state is solved by the interior-point method and
-    then bracketed in closed form (see _bracket). tol must be finite and
-    positive.
+    the PPT bracket of _bracket; when it is narrow enough, the answer is
+    value 0.0 with the zero matrix as witness, status "optimal" and 0
+    iterations. Every other state is solved by the interior-point method
+    and then bracketed by _bracket. tol must be finite and positive.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -377,15 +373,19 @@ def xstate_criterion(rho, antidiag_pair):
     pair = (int(antidiag_pair[0]), int(antidiag_pair[1]))
     if pair not in XSTATE_PAIRS:
         raise ValueError(f"antidiagonal pair must be one of {XSTATE_PAIRS}, got {pair}")
-    lhs = abs(rho[pair[0] - 1, pair[1] - 1])
-    rhs = 0.0
-    for k, l in XSTATE_PAIRS:
-        if (k, l) == pair:
-            continue
-        rhs += math.sqrt(max(rho[k - 1, k - 1].real, 0.0) * max(rho[l - 1, l - 1].real, 0.0))
+    lhs, rhs = _xstate_sides(rho)[XSTATE_PAIRS.index(pair)]
     margin = lhs - rhs
     return CriterionReport(pair=pair, lhs=lhs, rhs=rhs, margin=margin,
                            violated=bool(margin > MARGIN_TOL))
+
+
+def _xstate_sides(rho):
+    """(lhs, rhs) of xstate_criterion for each pair of XSTATE_PAIRS, in
+    order, on a state that validate has already returned."""
+    pops = [math.sqrt(max(rho[k - 1, k - 1].real, 0.0) * max(rho[l - 1, l - 1].real, 0.0))
+            for k, l in XSTATE_PAIRS]
+    return [(abs(rho[k - 1, l - 1]), sum(p for j, p in enumerate(pops) if j != i))
+            for i, (k, l) in enumerate(XSTATE_PAIRS)]
 
 
 def asymptotic_ghz1_criterion(alpha, n, mu):

@@ -14,6 +14,7 @@ from sgadmem.channel import (
     apply_memory,
     apply_uncorrelated,
     asymptotic_state,
+    asymptotic_states,
     choi_matrix,
     integrate_master,
     kraus_single,
@@ -355,6 +356,19 @@ def test_asymptotic_m_independence():
 def test_asymptotic_mu_validation():
     with pytest.raises(ValueError):
         asymptotic_state(make_pure("w"), SgadParams(1.0, 1.0, 0.0), -0.1)
+
+
+def test_asymptotic_states_match_asymptotic_state_bit_for_bit():
+    # the sweep's maps, built once per call, against one asymptotic_state per state
+    rhos = [make_pure("ghz1"), make_noisy("w", beta=0.3)] + random_states(11, 2)
+    mus = [0.0, 0.37, 1.0]
+    for p in (SgadParams(1.0, 0.3, 0.0), SgadParams(1.0, 1.0, 0.5)):
+        out = asymptotic_states(rhos, p, mus)
+        expect = np.array([[asymptotic_state(rho, p, mu) for mu in mus] for rho in rhos])
+        assert out.shape == (4, 3, 8, 8)
+        assert out.tobytes() == expect.tobytes()
+    with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\], got 1.5"):
+        asymptotic_states(rhos, p, [0.5, 1.5])
 
 
 # -- integrator --------------------------------------------------------------

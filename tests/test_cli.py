@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -9,11 +10,15 @@ from sgadmem.channel import SgadParams, asymptotic_state
 from sgadmem import cli
 from sgadmem.cli import main
 from sgadmem.states import load_state, make_noisy, make_pure, save_state
-from sgadmem.witness import gmn
+from sgadmem.witness import XSTATE_PAIRS, gmn, xstate_criterion
 
 
 def run(capsys, argv):
-    code = main(argv)
+    """(exit code, stdout, stderr) of main; a usage error's exit is its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -143,6 +148,50 @@ def test_asymptotic_honours_tol(capsys):
     row = out.strip().splitlines()[1].split(",")
     rho = asymptotic_state(make_noisy("w", beta=0.3), SgadParams(1.0, 1.0, 0.0), 0.5)
     assert row[4] == format(gmn(rho, tol=1e-2).value, ".12g")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_rows_match_the_per_row_path(capsys, workers):
+    # each row as the sweep computed it before its maps were built once per n:
+    # one asymptotic_state call, then _measure_row
+    code, out, _ = run(capsys, ["asymptotic", "--family", "ghz2", "--alpha", "0.4,0.9",
+                                "--n", "0.1,2", "--mu", "0,0.37,1", "--workers", workers])
+    assert code == 0
+    expect = [",".join(cli.SWEEP_COLUMNS)]
+    for alpha in (0.4, 0.9):
+        for n in (0.1, 2.0):
+            for mu in (0.0, 0.37, 1.0):
+                rho = asymptotic_state(make_noisy("ghz2", alpha=alpha), SgadParams(1.0, n, 0.0), mu)
+                row = ("ghz2", alpha, n, mu, *cli._measure_row(rho, 1e-8))
+                expect.append(",".join(cli._fmt(v) for v in row))
+    assert out.splitlines() == expect
+
+
+def test_sweep_measures_asymptotic_state_bit_for_bit(monkeypatch, capsys):
+    measured = []
+
+    def record(rho, tol):
+        measured.append(np.array(rho))
+        return (0.0, 0.0, 0.0, 0.0, 0.0, "optimal")
+
+    monkeypatch.setattr(cli, "_measure_row", record)
+    argv = ["asymptotic", "--family", "w", "--beta", "0,0.3", "--n", "0.3,1", "--mu", "0,0.37,1"]
+    assert run(capsys, argv)[0] == 0
+    expect = [asymptotic_state(make_noisy("w", beta=beta), SgadParams(1.0, n, 0.0), mu)
+              for beta in (0.0, 0.3) for n in (0.3, 1.0) for mu in (0.0, 0.37, 1.0)]
+    assert np.array(measured).tobytes() == np.array(expect).tobytes()
+
+
+def test_measure_row_margin_matches_xstate_criterion():
+    # an asymptotic state that is Hermitian only to rounding, as the sweep's
+    # are; its largest margin changes in the last bit unless it is symmetrized
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho0 = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    rho = asymptotic_state(rho0, SgadParams(1.0, 1.0, 0.0), 0.37)
+    assert np.abs(rho - rho.conj().T).max() > 0
+    margin = cli._measure_row(rho, 1e-8)[4]
+    assert margin == max(xstate_criterion(rho, pair).margin for pair in XSTATE_PAIRS)
 
 
 # -- gmn ---------------------------------------------------------------------------
@@ -364,3 +413,64 @@ def test_unread_option_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# -- one parser per process ----------------------------------------------------
+
+@pytest.fixture
+def fresh_parser():
+    # start with no parser built, and leave none built from a patched argparse
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+MIXED = [
+    ["asymptotic", "--family", "ghz1", "--n", "0.5", "--mu", "0.3"],
+    ["asymptotic", "--family", "ghz1", "--mu", "0.3"],
+    ["asymptotic", "--format", "yaml"],  # usage error
+    ["validate", "--omega-t", "1,5"],
+    ["asymptotic", "--family", "w", "--beta", "1.5", "--mu", "0.5"],  # input error
+    ["evolve", "--family", "ghz2", "--mu", "1"],  # default --n, --m and --omega-t
+    ["gmn", "--family", "ghz1", "--alpha", "0.2"],
+    ["scan", "--family", "ghz1", "--scan", "alpha", "--grid", "0.6:0.9:0.05"],
+    ["validate"],  # fails admissibility at the default Omega*t = 0.1
+    ["asymptotic", "--family", "ghz1", "--mu", "0.3"],
+]
+
+
+def test_main_builds_one_parser_tree(monkeypatch, capsys, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    codes = [run(capsys, argv)[0] for argv in MIXED]
+    assert codes == [0, 0, 2, 0, 2, 0, 0, 0, 1, 0]
+    assert len(built) == 6  # the root and its five subcommands, once
+    assert not any(isinstance(option.get("default"), list) for option in cli.OPTIONS.values())
+
+
+def test_reused_parser_matches_fresh_parsers(capsys, fresh_parser):
+    reused = [run(capsys, argv) for argv in MIXED]
+    fresh = []
+    for argv in MIXED:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert reused == fresh
+
+
+def test_reused_parser_keeps_defaults_and_recovers_from_errors(capsys):
+    code, out, _ = run(capsys, ["asymptotic", "--family", "ghz1", "--n", "0.5", "--mu", "0.3"])
+    assert code == 0 and out.splitlines()[1].split(",")[2] == "0.5"
+    valid = ["asymptotic", "--family", "ghz1", "--mu", "0.3"]
+    first = run(capsys, valid)
+    assert first[0] == 0 and first[1].splitlines()[1].split(",")[2] == "1"
+    for bad in (["asymptotic", "--format", "yaml"],
+                ["asymptotic", "--family", "ghz1", "--mu", "1.5"]):
+        code, out, err = run(capsys, bad)
+        assert code == 2 and out == "" and err
+        assert run(capsys, valid) == first
