@@ -145,24 +145,19 @@ def _lift(op, q):
     return tensor(mats[0], tensor(mats[1], mats[2]))
 
 
-def _single_superop(p, t, clamp=False):
+def _single_superop(p, t, clamped=None):
     """4x4 superoperator sum_K K x conj(K) of the single-qubit damping set.
 
-    With clamp=True, radicands outside the validity domain are clamped at zero
-    with a UserWarning (still CP, no longer trace preserving) instead of raising.
+    Outside the validity domain it raises CpViolationError, unless clamped
+    is a list: then the radicands are clamped at zero (still CP, no longer
+    trace preserving) and the error is appended to clamped.
     """
     try:
         ops = kraus_single(p, t)
     except CpViolationError as exc:
-        if not clamp:
+        if clamped is None:
             raise
-        warnings.warn(
-            f"Kraus radicands clamped to zero for {', '.join(exc.offenders)} at "
-            f"n={p.n}, m={p.m}, Omega*t={p.omega * t}: outside the operator "
-            "set's validity domain, map is not trace preserving there",
-            UserWarning,
-            stacklevel=3,
-        )
+        clamped.append(exc)
         ops = _kraus_from(exc.radicands)
     return sum(np.kron(K, K.conj()) for K in ops)
 
@@ -193,9 +188,9 @@ def _correlated_superop(p, t):
     return s
 
 
-def _uncorrelated_superop(p, t, clamp=False):
+def _uncorrelated_superop(p, t, clamped=None):
     """64x64 superoperator of apply_uncorrelated: _single_superop on each qubit."""
-    s = _single_superop(p, t, clamp).reshape(2, 2, 2, 2)  # (row out, col out, row in, col in)
+    s = _single_superop(p, t, clamped).reshape(2, 2, 2, 2)  # (row out, col out, row in, col in)
     return np.einsum("adgj,behk,cfil->abcdefghijkl", s, s, s).reshape(64, 64)
 
 
@@ -212,10 +207,10 @@ def _mixture(mu, correlated, uncorrelated):
     return mu * correlated() + (1 - mu) * uncorrelated()
 
 
-def _memory_superop(p, t, mu, clamp=False):
+def _memory_superop(p, t, mu, clamped=None):
     """64x64 superoperator of apply_memory."""
     return _mixture(mu, lambda: _correlated_superop(p, t),
-                    lambda: _uncorrelated_superop(p, t, clamp))
+                    lambda: _uncorrelated_superop(p, t, clamped))
 
 
 def _apply(s, rho):
@@ -373,12 +368,18 @@ def choi_matrix(p, t, mode, mu=0.0):
     parameter points outside the damping set's validity domain the radicands
     are clamped (with a UserWarning) and the defect shows up as trace < 1.
     """
+    clamped = []
     if mode == "uncorrelated-single":
-        s, dim = _single_superop(p, t, clamp=True), 2
+        s, dim = _single_superop(p, t, clamped), 2
     elif mode == "correlated-3q":
         s, dim = _correlated_superop(p, t), 8
     elif mode == "memory-3q":
-        s, dim = _memory_superop(p, t, mu, clamp=True), 8
+        s, dim = _memory_superop(p, t, mu, clamped), 8
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    for exc in clamped:  # warned here, so that the warning names the caller
+        warnings.warn(f"Kraus radicands clamped to zero for {', '.join(exc.offenders)} at "
+                      f"n={p.n}, m={p.m}, Omega*t={p.omega * t}: outside the operator "
+                      "set's validity domain, map is not trace preserving there",
+                      UserWarning, stacklevel=2)
     return s.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim) / dim

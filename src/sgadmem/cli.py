@@ -347,7 +347,7 @@ OPTIONS = {
     "--alpha": dict(default=None, help="GHZ-family mixture weight(s)"),
     "--beta": dict(default=None, help="W-family mixture weight(s)"),
     "--family": dict(choices=sorted(FAMILIES), default=None),
-    "--omega-t": dict(default=(0.1, 1.0, 10.0), help="dimensionless time grid (comma list)"),
+    "--omega-t": dict(default=(1.0, 10.0), help="dimensionless time grid (comma list)"),
     "--grid": dict(default=None, help="start:stop:step parameter grid (scan: LO:HI[:RES])"),
     "--out": dict(default=None, help="output file (default stdout)"),
     "--workers": dict(type=int, default=1),

@@ -24,14 +24,20 @@ and the Schur complement towards singularity, after which rounding (for
 instance the BLAS thread count) decides whether the solve converges.
 
 Each iteration factors every block once, X_b = Lx Lx^H and S_b = Ls Ls^H,
-inverts both factors and takes one SVD Ls^H Lx = U Sigma V^H (Todd, Toh &
-Tutuncu, SIAM J. Optim. 8, 769 (1998)). Everything else follows: the NT
-point W = G G^H with G = Lx V Sigma^{-1/2}, so that W S W = X; S^{-1} =
-Ls^{-H} Ls^{-1}; the centrality min Sigma^2 / mu, because Lx^H S Lx =
-(Ls^H Lx)^H (Ls^H Lx); and the step length to the boundary of
-V + alpha D >= 0 from lambda_min(L^{-1} D L^{-H}). A block without a
-Cholesky factor is factored with a trace ridge of 1e-12 and scores
-centrality 0.
+and takes one SVD Ls^H Lx = U Sigma V^H (Todd, Toh & Tutuncu, SIAM J.
+Optim. 8, 769 (1998)). Everything else follows, with no inverse. The NT
+point is W = G G^H with G = Lx V Sigma^{-1/2} = Ls^{-H} U Sigma^{1/2}, so
+that W S W = X and G^{-1} X G^{-H} = G^H S G = Sigma; S^{-1} = G Sigma^{-1}
+G^H; the centrality is min Sigma^2 / mu, because Lx^H S Lx = (Ls^H Lx)^H
+(Ls^H Lx). In the NT frames Rx = G^{-H} Sigma^{-1/2} = Ls U Sigma^{-1} and
+Rs = G Sigma^{-1/2} = Lx V Sigma^{-1}, X and S are both I, so X + alpha dX
+>= 0 exactly when I + alpha Dx >= 0 with Dx = Rx^H dX Rx, and likewise for
+S with Ds = Rs^H dS Rs: the step to the boundary is -1/lambda_min(D), of
+which 0.98 is taken, at most 1. The predictor direction solves dX + W dS W
+= -X, which in the frames reads Dx = -I - Ds, so one eigvalsh of Ds gives
+both its steps, with lambda_min(Dx) = -1 - lambda_max(Ds); the corrector's
+two come from one eigvalsh over both frames. A block without a Cholesky
+factor is factored with a trace ridge of 1e-12 and scores centrality 0.
 
 A problem has k blocks of one size d, so every block quantity (C, X, S,
 W, a direction) is one (k, d, d) array, and the NT scaling, centrality,
@@ -164,29 +170,36 @@ def _ridged_cholesky(v):
 
 
 def _scaling(X, S):
-    """NT points W, S^{-1}, min_b lambda_min(Lx_b^H S_b Lx_b) and the inverse
-    factors Lx^{-1}, Ls^{-1} of every block, from one Cholesky pair and one
+    """NT points W, S^{-1}, min_b lambda_min(Lx_b^H S_b Lx_b) and the NT
+    frames R = (Rx, Rs), stacked (2k, d, d), from one Cholesky pair and one
     SVD (see the module docstring). The third value is 0 if a block of X or
     S has no Cholesky factor."""
     (Lx, x_ok), (Ls, s_ok) = _factor(X), _factor(S)
-    Lsi = np.linalg.inv(Ls)
-    _, sv, Vh = np.linalg.svd(_h(Ls) @ Lx)
-    G = (Lx @ _h(Vh)) / np.sqrt(sv)[..., None, :]
+    U, sv, Vh = np.linalg.svd(_h(Ls) @ Lx)
+    r = np.sqrt(sv)[..., None, :]
+    G = (Lx @ _h(Vh)) / r
+    Rs = G / r
     lam = sv[:, -1].min() ** 2 if x_ok and s_ok else 0.0
-    return _sym(G @ _h(G)), _sym(_h(Lsi) @ Lsi), lam, np.linalg.inv(Lx), Lsi
+    return _sym(G @ _h(G)), _sym(Rs @ _h(Rs)), lam, np.concatenate([(Ls @ U) / r**2, Rs])
 
 
-def _max_step(Linv, D):
-    """Largest alpha with V_b + alpha D_b >= 0 for every block, given the
-    inverse Cholesky factors of V_b = L_b L_b^H (inf if every D_b >= 0):
-    -1 / lambda_min(L_b^{-1} D_b L_b^{-H})."""
-    lam = np.linalg.eigvalsh(_sym(Linv @ D @ _h(Linv)))[:, 0].min()
-    return np.inf if lam >= 0.0 else -1.0 / lam
+def _step(lam):
+    """0.98 of the way to the boundary, at most 1, along a direction whose
+    smallest eigenvalue in the NT frame is lam."""
+    return 1.0 if lam >= -0.98 else -0.98 / lam
 
 
-def _steps(Lxi, Lsi, dX, dS):
-    """Primal and dual step lengths: 0.98 of the way to the boundary, at most 1."""
-    return min(1.0, 0.98 * _max_step(Lxi, dX)), min(1.0, 0.98 * _max_step(Lsi, dS))
+def _steps(R, dX, dS):
+    """Primal and dual step lengths from one eigvalsh over both NT frames."""
+    lam = np.linalg.eigvalsh(_h(R) @ np.concatenate([dX, dS]) @ R)[:, 0]
+    return _step(lam[:len(dX)].min()), _step(lam[len(dX):].min())
+
+
+def _predictor_steps(R, dS):
+    """_steps for a direction with dX + W dS W = -X, where Dx = -I - Ds, so
+    one eigvalsh of Ds gives both."""
+    lam = np.linalg.eigvalsh(_h(R[len(dS):]) @ dS @ R[len(dS):])
+    return _step(-1.0 - lam[:, -1].max()), _step(lam[:, 0].min())
 
 
 def solve(problem, tol=1e-8, max_iter=100, start=None):
@@ -237,7 +250,7 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
 
         mu = gap / (k * d)
         try:
-            W, Sinv, lam, Lxi, Lsi = _scaling(X, S)
+            W, Sinv, lam, R = _scaling(X, S)
             trace, factor = problem.schur(W)
             ridge = 0.0
             for attempt in range(4):
@@ -263,13 +276,13 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
             else:
                 # predictor (affine scaling)
                 dXa, _, dSa = direction(-X)
-                ap, ad = _steps(Lxi, Lsi, dXa, dSa)
+                ap, ad = _predictor_steps(R, dSa)
                 sigma = min(1.0, max(0.0, _tr2(X + ap * dXa, S + ad * dSa) / gap) ** 3)
 
                 # corrector with Mehrotra second-order term
                 V = sigma * mu * Sinv - X - _sym(dXa @ dSa @ Sinv)
             dX, dy, dS = direction(V)
-            ap, ad = _steps(Lxi, Lsi, dX, dS)
+            ap, ad = _steps(R, dX, dS)
             if ap < 1e-12 and ad < 1e-12:
                 status = "numerical-failure"
                 break

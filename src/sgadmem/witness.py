@@ -18,9 +18,10 @@ The SDP is solved in-house (sdp module) in its native form: the dual
 Q_C in the normalized Pauli basis (256 rows), with twelve 8x8 Hermitian
 slack blocks, P_M and I - P_M with P_M = W - Q_M^{T_M}, and Q_M and
 I - Q_M. Only b and the start depend on the state. _WitnessProgram
-derives the program and its real Schur system. Both sides have a strictly
-feasible start in closed form (W = I/2, Q_M = I/4), which keeps every
-iterate feasible and the duality gap nonnegative throughout.
+derives the program and states the arrow algebra of its real Schur
+system. Both sides have a strictly feasible start in closed form
+(W = I/2, Q_M = I/4), which keeps every iterate feasible and the duality
+gap nonnegative throughout.
 
 Every answer carries a bracket lower <= E <= upper in closed form (in the
 spirit of Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 180 (2007)),
@@ -86,7 +87,8 @@ def _pauli():
 
 @lru_cache(maxsize=1)
 def _arrow_tables():
-    """The gathers and the output map of _WitnessProgram.arrow."""
+    """The gathers, the output map and the signs s_M[k] s_M[k'] of
+    _WitnessProgram.arrow."""
     x, xp = np.triu_indices(8)  # the 36 pairs x <= x'
     b, d = np.divmod(np.arange(64), 8)
     left = d[:, None] * 8 + (b[:, None] ^ x)  # W[d, b ^ x], (64, 36)
@@ -96,11 +98,12 @@ def _arrow_tables():
     X, Z, Xp, Zp = np.ix_(*[np.arange(8)] * 4)
     n = _POPCOUNT[X & Z] + _POPCOUNT[Xp & Zp]  # the phase i^n of H_k H_k'
     zz = np.where(X <= Xp, 8 * Z + Zp, 8 * Zp + Z)  # the pair (x', x) is read transposed
-    # B[m, k, k'] reads G[(z, z'), pair, m, re/im], m = 2 cut + (0 for P, 1 for Q)
-    src = ((zz * 36 + pair[X, Xp]) * 12 + n % 2).reshape(64, 64) + 2 * np.arange(6)[:, None, None]
+    # B[k, k'] of one block pair reads its G[(z, z'), pair, re/im]
+    src = ((zz * 36 + pair[X, Xp]) * 2 + n % 2).reshape(64, 64)
     # Re(i^n G) is Re G, -Im G, -Re G, Im G for n = 0..3
     sign = (np.array([1.0, -1.0, -1.0, 1.0])[n % 4] / 8.0).reshape(64, 64)
-    return left, right, src, sign
+    s = _pauli()[1]
+    return left, right, src, sign, s[:, :, None] * s[:, None, :]
 
 
 def _tril_inv(L):
@@ -108,16 +111,16 @@ def _tril_inv(L):
     two, by halves as LAPACK's trtri does: [[A, 0], [C, D]]^{-1} =
     [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]]. np.linalg.inv, which runs a
     full LU factorization of each matrix, takes over at n = 16; above that,
-    the halving moves most of the work into matrix products."""
+    the halving moves most of the work into matrix products. Above n = 16
+    the inverses are written over L."""
     n = L.shape[-1]
     if n <= 16:
         return np.linalg.inv(L)
     h = n // 2
     Ai, Di = _tril_inv(np.stack([L[..., :h, :h], L[..., h:, h:]]))
-    out = np.zeros_like(L)
-    out[..., :h, :h], out[..., h:, h:] = Ai, Di
-    out[..., h:, :h] = -Di @ L[..., h:, :h] @ Ai
-    return out
+    L[..., h:, :h] = -Di @ L[..., h:, :h] @ Ai
+    L[..., :h, :h], L[..., h:, h:] = Ai, Di
+    return L
 
 
 def _coords(v):
@@ -172,6 +175,12 @@ class _WitnessProgram:
     real Cholesky factors L_M of M_{Q_M,Q_M} + ridge I and of the reduced
     complement M_WW + ridge I - sum_M G_M^T G_M, G_M = L_M^{-1} M_{Q_M,W}.
     M + ridge I is positive definite exactly when all four factors exist.
+
+    arrow builds one block pair at a time, and arrow and factor write their
+    64x64 blocks into arrays the program holds: a result is valid until the
+    next call. So no iteration allocates an array larger than 96 KB, and
+    the heap it frees is reused instead of handed back to the OS and paged
+    in again.
     """
 
     # read only by the benchmark's tracer; it goes with the benchmark's next change
@@ -181,6 +190,9 @@ class _WitnessProgram:
         eye = np.eye(8)
         self.C = np.array([0 * eye, eye] * 6)
         self.b = np.concatenate([-_coords(rho.reshape(64)), np.zeros(192)])
+        # overwritten by every call: arrow's blocks, and factor's ridged blocks and G
+        self._arrow = np.empty((64, 64)), np.empty((3, 64, 64)), np.empty((3, 64, 64))
+        self._factor = np.empty((3, 64, 64)), np.empty((192, 64))
 
     def apply(self, X):
         _, s = _pauli()
@@ -197,18 +209,24 @@ class _WitnessProgram:
 
     def arrow(self, W):
         """The blocks M_WW (64, 64), M_{W,Q_M} and M_{Q_M,Q_M} (3, 64, 64)
-        of M at the NT points W (12, 8, 8)."""
-        left, right, src, sign = _arrow_tables()
+        of M at the NT points W (12, 8, 8), in the program's arrays."""
+        left, right, src, sign, ss = _arrow_tables()
         _, s = _pauli()
-        Wv = np.ascontiguousarray(W.reshape(12, 64).T)
-        F = np.take(Wv, left, axis=0)  # [(b, d), pair, block]
-        F *= np.take(Wv, right, axis=0)
-        F = F.reshape(64, 36, 6, 2)
-        F = (F[..., 0] + F[..., 1]).view(float).reshape(8, 8, -1)  # [b, d, (pair, m, re/im)]
-        B = np.take(_WALSH @ (_WALSH @ F).reshape(8, -1), src)  # (6, 64, 64)
-        B *= sign
-        P, Q = B[0::2], B[1::2]
-        return P.sum(axis=0), -P * s[:, None, :], s[:, :, None] * P * s[:, None, :] + Q
+        MWW, MWQ, MQQ = self._arrow
+        MWW.fill(0.0)
+        Wv = np.ascontiguousarray(W.reshape(6, 2, 64).swapaxes(1, 2))  # [block pair, entry, block]
+        for c in range(3):
+            P, Q = MWQ[c], MQQ[c]
+            for j, B in enumerate((P, Q)):  # one block pair at a time keeps every temporary small
+                F = np.take(Wv[2 * c + j], left, axis=0)  # [(b, d), pair, block]
+                F *= np.take(Wv[2 * c + j], right, axis=0)
+                F = (F[..., 0] + F[..., 1]).view(float).reshape(8, 8, 72)  # [b, d, (pair, re/im)]
+                np.take(_WALSH @ (_WALSH @ F).reshape(8, -1), src, out=B)
+                B *= sign
+            MWW += P
+            Q += P * ss[c]
+            P *= -s[c]
+        return MWW, MWQ, MQQ
 
     def schur(self, W):
         """tr M and factor at the NT points W (see the sdp module), by
@@ -216,17 +234,18 @@ class _WitnessProgram:
         MWW, MWQ, MQQ = self.arrow(W)
 
         def factor(ridge):
+            A, G = self._factor
             eye = ridge * np.eye(64)
-            Li = _tril_inv(np.linalg.cholesky(MQQ + eye))
-            G = Li @ MWQ.swapaxes(1, 2)  # L_M^{-1} M_{Q_M,W}
-            Gt = G.swapaxes(1, 2)
-            Ri = _tril_inv(np.linalg.cholesky(MWW + eye - (Gt @ G).sum(axis=0)))
+            Li = _tril_inv(np.linalg.cholesky(np.add(MQQ, eye, out=A)))
+            np.matmul(Li, MWQ.swapaxes(1, 2), out=G.reshape(3, 64, 64))  # the L_M^{-1} M_{Q_M,W}
+            np.subtract(np.add(MWW, eye, out=A[0]), np.matmul(G.T, G, out=A[1]), out=A[0])
+            Ri = _tril_inv(np.linalg.cholesky(A[0]))
 
             def solve_schur(r):
                 r = r.reshape(4, 64)
-                u = (Li @ r[1:, :, None])[..., 0]
-                xw = Ri.T @ (Ri @ (r[0] - (Gt @ u[..., None]).sum(axis=0)[:, 0]))
-                xq = (Li.swapaxes(1, 2) @ (u - G @ xw)[..., None])[..., 0]
+                u = (Li @ r[1:, :, None]).ravel()
+                xw = Ri.T @ (Ri @ (r[0] - G.T @ u))
+                xq = (Li.swapaxes(1, 2) @ (u - G @ xw).reshape(3, 64, 1))[..., 0]
                 return np.concatenate([xw, xq], axis=None)
 
             return solve_schur

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,19 @@ def test_choi_clamps_with_warning_outside_domain():
         c = choi_matrix(p, 0.1, "uncorrelated-single")
     assert np.linalg.eigvalsh(c)[0] > -1e-12  # still PSD by construction
     assert abs(np.trace(c).real - 1.0) > 1e-3  # non-trace-preserving there
+
+
+def test_choi_clamp_warning_names_the_caller():
+    # both clamping modes warn from the line that called choi_matrix, not
+    # from a frame inside the channel module
+    p = SgadParams(1.0, 1.0, 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        choi_matrix(p, 0.05, "uncorrelated-single")
+        choi_matrix(p, 0.05, "memory-3q", 0.5)
+        choi_matrix(p, 0.05, "memory-3q", 0.0)
+    assert [w.filename for w in caught] == [__file__] * 3
+    assert all("clamped" in str(w.message) for w in caught)
 
 
 def test_choi_mode_checked():

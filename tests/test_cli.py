@@ -65,6 +65,15 @@ def test_validate_reports_each_inadmissible_time_and_runs_the_rest(capsys):
                    "uncorrelated-populations-vs-integrator": True}
 
 
+def test_default_grid_is_admissible(capsys):
+    # the default n, m and Omega*t grid lie inside the operator set's domain
+    code, out, _ = run(capsys, ["validate"])
+    assert code == 0 and "validation passed" in out and "FAIL" not in out
+    code, out, _ = run(capsys, ["evolve", "--family", "ghz1"])
+    assert code == 0 and "cp-violation" not in out
+    assert len(out.strip().splitlines()) == 1 + len(cli.OPTIONS["--omega-t"]["default"])
+
+
 def test_validate_rejects_value_lists(capsys):
     code, out, err = run(capsys, ["validate", "--n", "1,0", "--m", "0",
                                   "--omega-t", "1,5"])
@@ -434,7 +443,7 @@ MIXED = [
     ["evolve", "--family", "ghz2", "--mu", "1"],  # default --n, --m and --omega-t
     ["gmn", "--family", "ghz1", "--alpha", "0.2"],
     ["scan", "--family", "ghz1", "--scan", "alpha", "--grid", "0.6:0.9:0.05"],
-    ["validate"],  # fails admissibility at the default Omega*t = 0.1
+    ["validate", "--omega-t", "0.1"],  # fails admissibility
     ["asymptotic", "--family", "ghz1", "--mu", "0.3"],
 ]
 

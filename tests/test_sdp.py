@@ -6,7 +6,7 @@ import pytest
 from sgadmem import sdp
 from sgadmem.channel import SgadParams, asymptotic_state
 from sgadmem.linalg import BIPARTITIONS, partial_transpose, tensor
-from sgadmem.sdp import CENTRALITY_MIN, SdpProblem, _max_step, _scaling, solve
+from sgadmem.sdp import CENTRALITY_MIN, SdpProblem, _predictor_steps, _scaling, _steps, solve
 from sgadmem.states import make_noisy, make_pure
 from sgadmem.witness import _pauli, _witness_program
 
@@ -368,19 +368,24 @@ def test_generic_problem_matches_reference_at_256_rows():
 
 
 def test_factor_kernel_matches_eigh_reference():
-    # The NT point, S^{-1}, centrality and step length from one Cholesky pair
+    # The NT point, S^{-1}, centrality and step lengths from one Cholesky pair
     # and one SVD, against the eigh formulas of reference_solve. With X and S
     # both at cond 1e10 the eigh W is itself off by up to 90 %, so there only
-    # W S W = X is checked.
+    # W S W = X is checked. The steps are checked below their cap of 1, so
+    # that the comparison sees them.
     rng = np.random.default_rng(13)
 
     def rel(a, b):
         return np.abs(a - b).max() / np.abs(b).max()
 
+    def ref_steps(dX, dS):
+        return tuple(min(1.0, 0.98 * min(_ref_max_step(v, dv) for v, dv in zip(V, D)))
+                     for V, D in ((X, dX), (S, dS)))
+
     mu = 0.3
     for cond_x, cond_s in [(1e2, 1e2), (1e10, 1e2), (1e10, 1e10)]:
         X, S = random_pd_stack(rng, 6, 8, cond_x), random_pd_stack(rng, 6, 8, cond_s)
-        W, Sinv, lam, Lxi, Lsi = _scaling(X, S)
+        W, Sinv, lam, R = _scaling(X, S)
         assert rel(W @ S @ W, X) <= 1e-12
         if cond_s > 1e2:
             continue
@@ -388,10 +393,23 @@ def test_factor_kernel_matches_eigh_reference():
         assert rel(W, np.array([w for w, _ in refs])) <= 1e-9
         assert rel(Sinv, np.array([si for _, si in refs])) <= 1e-10
         assert abs(lam / mu - _ref_centrality(X, S, mu)) <= 1e-10 * _ref_centrality(X, S, mu)
-        D = np.array([rand_herm(rng, 8) for _ in range(6)])
-        for V, Linv in ((X, Lxi), (S, Lsi)):
-            ref = min(_ref_max_step(v, dv) for v, dv in zip(V, D))
-            assert abs(_max_step(Linv, D) - ref) <= 1e-10 * ref
+        # both step lengths from one eigvalsh in the NT frames
+        dX, dS = (np.array([rand_herm(rng, 8) for _ in range(6)]) for _ in range(2))
+        ref = ref_steps(dX, dS)
+        assert max(ref) < 1.0
+        for got, want in zip(_steps(R, dX, dS), ref):
+            assert abs(got - want) <= 1e-10 * want
+        # a predictor direction, dX + W dS W = -X: both steps from the
+        # spectrum of dS alone, against two separate step computations. At
+        # cond_x 1e10, rounding dX = -X - W dS W moves its primal step by up
+        # to 4e-9, so the identity is checked at cond_x 1e2.
+        if cond_x > 1e2:
+            continue
+        dX = -X - W @ dS @ W
+        ref = ref_steps(dX, dS)
+        assert max(ref) < 1.0
+        for got, stacked, want in zip(_predictor_steps(R, dS), _steps(R, dX, dS), ref):
+            assert abs(got - want) <= 1e-10 * want and abs(got - stacked) <= 1e-10 * want
     # an X block without a Cholesky factor scores centrality 0
     X[0] = np.diag([1.0] * 7 + [0.0])
     assert _scaling(X, S)[2] == 0.0
