@@ -16,12 +16,9 @@ matrix T4(hL) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so k steps are T4^k.
 Time enters only through the dimensionless products Omega*t and m*Omega*t;
 ``t = math.inf`` is the asymptotic marker and takes the same code path.
 
-A caveat that matters when comparing against the master-equation integrator:
-the four-operator damping set reproduces the generator's populations exactly
-but NOT its coherences (the decay factors k1*k2 + xc and k3*k4 + xs differ
-from the generator's xc and -xs). ``apply_uncorrelated`` implements the
-operator set as printed; ``integrate_master`` implements the generator. They
-agree on the diagonal sector only. See README for the full account.
+The operator set and the master-equation integrator agree on populations
+only. The README gives the account (test c04) and the domain where the
+operator set exists (Admissibility).
 """
 
 import functools
@@ -38,7 +35,6 @@ TRACE_TOL = 1e-8
 
 SIGMA_P = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 SIGMA_M = SIGMA_P.conj().T
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 
@@ -112,18 +108,16 @@ def _radicands(p, t):
 
 
 def _kraus_from(rad):
-    """[K1, K2, K3, K4] from radicands, each clamped at zero."""
+    """K1..K4 as one (4, 2, 2) array, from radicands each clamped at zero."""
     k1, k2, k3, k4, xc, xs = (math.sqrt(max(rad[k], 0.0)) for k in ("k1", "k2", "k3", "k4", "xc", "xs"))
-    return [
-        np.array([[k1, 0.0], [0.0, k2]], dtype=complex),
-        np.array([[0.0, k3], [k4, 0.0]], dtype=complex),
-        xc * I2,
-        xs * SIGMA_X,
-    ]
+    return np.array([[[k1, 0.0], [0.0, k2]],
+                     [[0.0, k3], [k4, 0.0]],
+                     [[xc, 0.0], [0.0, xc]],
+                     [[0.0, xs], [xs, 0.0]]], dtype=complex)
 
 
 def kraus_single(p, t):
-    """Four-operator damping set [K1, K2, K3, K4] at time t.
+    """Four-operator damping set K1..K4 at time t, as one (4, 2, 2) array.
 
     K1 = diag(k1, k2), K2 = antidiag(k3, k4), K3 = sqrt(xc) I, K4 = sqrt(xs) sigma_x.
     Radicands in [-RADICAND_TOL, 0] snap to zero; lower values raise
@@ -145,21 +139,9 @@ def _lift(op, q):
     return tensor(mats[0], tensor(mats[1], mats[2]))
 
 
-def _single_superop(p, t, clamped=None):
-    """4x4 superoperator sum_K K x conj(K) of the single-qubit damping set.
-
-    Outside the validity domain it raises CpViolationError, unless clamped
-    is a list: then the radicands are clamped at zero (still CP, no longer
-    trace preserving) and the error is appended to clamped.
-    """
-    try:
-        ops = kraus_single(p, t)
-    except CpViolationError as exc:
-        if clamped is None:
-            raise
-        clamped.append(exc)
-        ops = _kraus_from(exc.radicands)
-    return sum(np.kron(K, K.conj()) for K in ops)
+def _single_superop(ops):
+    """4x4 superoperator sum_K K x conj(K) of a (4, 2, 2) operator set."""
+    return np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape(4, 4)
 
 
 def _correlated_superop(p, t):
@@ -188,9 +170,9 @@ def _correlated_superop(p, t):
     return s
 
 
-def _uncorrelated_superop(p, t, clamped=None):
+def _uncorrelated_superop(ops):
     """64x64 superoperator of apply_uncorrelated: _single_superop on each qubit."""
-    s = _single_superop(p, t, clamped).reshape(2, 2, 2, 2)  # (row out, col out, row in, col in)
+    s = _single_superop(ops).reshape(2, 2, 2, 2)  # (row out, col out, row in, col in)
     return np.einsum("adgj,behk,cfil->abcdefghijkl", s, s, s).reshape(64, 64)
 
 
@@ -207,36 +189,40 @@ def _mixture(mu, correlated, uncorrelated):
     return mu * correlated() + (1 - mu) * uncorrelated()
 
 
-def _memory_superop(p, t, mu, clamped=None):
-    """64x64 superoperator of apply_memory."""
+def _memory_superop(p, t, mu, kraus):
+    """64x64 superoperator of apply_memory, with the operator set kraus(p, t)."""
     return _mixture(mu, lambda: _correlated_superop(p, t),
-                    lambda: _uncorrelated_superop(p, t, clamped))
+                    lambda: _uncorrelated_superop(kraus(p, t)))
 
 
 def _apply(s, rho):
-    """Apply a 64x64 superoperator to an 8x8 matrix; the map must keep the trace."""
+    """Apply a 64x64 superoperator to an 8x8 matrix or (..., 8, 8) stack, one
+    matrix-vector product per state; the map must keep every state's trace."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 three-qubit matrix, got {rho.shape}")
-    out = (s @ rho.reshape(64)).reshape(8, 8)
-    drift = abs(np.trace(out) - np.trace(rho))
-    if drift > TRACE_TOL:
-        raise RuntimeError(f"map lost trace: drift {drift:.3e}")
-    return out
+    if rho.shape[-2:] != (8, 8):
+        raise ValueError(f"expected (..., 8, 8) three-qubit matrices, got {rho.shape}")
+    vec = rho.reshape(*rho.shape[:-2], 64, 1)
+    out = s @ vec
+    drift = abs((out - vec)[..., ::9, 0].sum(-1))  # every 9th vec entry is on the diagonal
+    if (drift > TRACE_TOL).any():
+        raise RuntimeError(f"map lost trace: drift {drift.max():.3e}")
+    return out.reshape(rho.shape)
 
 
 def apply_uncorrelated(rho, p, t):
-    """Independent per-qubit damping: sum over all 64 tensor products K_a x K_b x K_c.
+    """Independent per-qubit damping of an 8x8 matrix or (..., 8, 8) stack:
+    sum over all 64 tensor products K_a x K_b x K_c.
 
     Applied as the single-qubit superoperator lifted to three qubits, which is
     the same linear map; a test materializes all 64 products once to pin the
     equivalence.
     """
-    return _apply(_uncorrelated_superop(p, t), rho)
+    return _apply(_uncorrelated_superop(kraus_single(p, t)), rho)
 
 
 def apply_correlated(rho, p, t):
-    """Collective damping, solved in closed form.
+    """Collective damping of an 8x8 matrix or (..., 8, 8) stack, solved in
+    closed form.
 
     The inner 6x6 block (indices 2..7 one-based) is untouched: it is the
     decoherence-free sector of the collective generator. Border elements
@@ -250,17 +236,19 @@ def apply_correlated(rho, p, t):
 
 
 def apply_memory(rho, p, t, mu):
-    """Convex mixture: mu * correlated + (1 - mu) * uncorrelated.
+    """Convex mixture mu * correlated + (1 - mu) * uncorrelated, applied to an
+    8x8 matrix or (..., 8, 8) stack.
 
     The endpoints short-circuit so that e.g. mu = 1 works at every t even
     where the four-operator set of the unused uncorrelated branch would be
     outside its validity domain.
     """
-    return _apply(_memory_superop(p, t, mu), rho)
+    return _apply(_memory_superop(p, t, mu, kraus_single), rho)
 
 
 def asymptotic_state(rho, p, mu):
-    """t -> infinity limit of the memory channel: ``apply_memory`` at t = inf.
+    """t -> infinity limit of the memory channel: ``apply_memory`` at t = inf,
+    on an 8x8 matrix or (..., 8, 8) stack.
 
     Both branches lose all m dependence in the limit. The uncorrelated limit
     is the per-qubit damping by the two surviving operators diag(a, b) and
@@ -278,12 +266,11 @@ def asymptotic_states(rhos, p, mus):
     an array (len(rhos), len(mus), 8, 8), bit for bit. Each t -> inf map is
     built at most once per call, when a mu first needs it."""
     correlated = functools.cache(functools.partial(_correlated_superop, p, math.inf))
-    uncorrelated = functools.cache(functools.partial(_uncorrelated_superop, p, math.inf))
+    uncorrelated = functools.cache(lambda: _uncorrelated_superop(kraus_single(p, math.inf)))
+    rhos = np.asarray(rhos, dtype=complex).reshape(len(rhos), 8, 8)
     out = np.empty((len(rhos), len(mus), 8, 8), dtype=complex)
     for k, mu in enumerate(mus):
-        s = _mixture(mu, correlated, uncorrelated)
-        for i, rho in enumerate(rhos):
-            out[i, k] = _apply(s, rho)
+        out[:, k] = _apply(_mixture(mu, correlated, uncorrelated), rhos)
     return out
 
 
@@ -369,12 +356,20 @@ def choi_matrix(p, t, mode, mu=0.0):
     are clamped (with a UserWarning) and the defect shows up as trace < 1.
     """
     clamped = []
+
+    def kraus(p, t):  # the operator set, clamped where it does not exist
+        try:
+            return kraus_single(p, t)
+        except CpViolationError as exc:
+            clamped.append(exc)
+            return _kraus_from(exc.radicands)
+
     if mode == "uncorrelated-single":
-        s, dim = _single_superop(p, t, clamped), 2
+        s, dim = _single_superop(kraus(p, t)), 2
     elif mode == "correlated-3q":
         s, dim = _correlated_superop(p, t), 8
     elif mode == "memory-3q":
-        s, dim = _memory_superop(p, t, mu, clamped), 8
+        s, dim = _memory_superop(p, t, mu, kraus), 8
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for exc in clamped:  # warned here, so that the warning names the caller

@@ -97,14 +97,14 @@ def _grid_parts(text, counts, form):
 
 
 def _grid(text):
-    """start:stop:step inclusive grid (endpoint kept within half a step)."""
+    """start:stop:step grid of the points start + k*step that do not pass
+    stop; a point that passes it by rounding only is stop itself."""
     start, stop, step = _grid_parts(text, (3,), "start:stop:step")
     if step <= 0 or stop < start:
         raise ValueError("grid needs step > 0 and stop >= start")
-    count = int(round((stop - start) / step))
+    count = math.floor((stop - start) / step + 1e-9)
     vals = [start + k * step for k in range(count + 1)]
-    if vals[-1] > stop + 0.5 * step:
-        vals.pop()
+    vals[-1] = min(vals[-1], stop)
     return vals
 
 
@@ -127,8 +127,11 @@ def _weights(args, family):
 
 
 def _state_from_args(args):
-    """Initial state from --family (+ --alpha/--beta) or a file path."""
+    """Initial state from --family (+ --alpha/--beta) or a file path, not both."""
     if getattr(args, "source", None):
+        given = [flag for flag in STATE if getattr(args, flag[2:]) is not None]
+        if given:
+            raise ValueError(f"a state file replaces {', '.join(given)}; give one or the other")
         return load_state(args.source)
     if not args.family:
         raise ValueError("need --family or a state file")
@@ -205,11 +208,11 @@ def _run_validate(args):
         if t == 0.0:
             continue
         ref = integrate_master(stack, spec_c, t, dt)
-        out = np.array([apply_correlated(r, params, t) for r in probes])
+        out = apply_correlated(stack, params, t)
         dev_c = max(dev_c, float(np.abs(out - ref).max()))
         if t in kraus:
             refd = integrate_master(diags, spec_u, t, dt)
-            outd = np.array([apply_uncorrelated(d, params, t) for d in diags])
+            outd = apply_uncorrelated(diags, params, t)
             dev_d = max(dev_d, float(np.abs(outd - refd).max()))
     record("correlated-vs-integrator", dev_c, 1e-6)
     if kraus:

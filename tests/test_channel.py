@@ -11,6 +11,11 @@ from sgadmem.channel import (
     CpViolationError,
     LindbladSpec,
     SgadParams,
+    _apply,
+    _kraus_from,
+    _radicands,
+    _single_superop,
+    _uncorrelated_superop,
     apply_correlated,
     apply_memory,
     apply_uncorrelated,
@@ -370,6 +375,44 @@ def test_asymptotic_states_match_asymptotic_state_bit_for_bit():
         assert out.tobytes() == expect.tobytes()
     with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\], got 1.5"):
         asymptotic_states(rhos, p, [0.5, 1.5])
+
+
+@pytest.mark.parametrize("n, m, t", [(1.0, 0.5, 1.0), (1.0, 0.5, math.inf), (1.0, 0.0, 0.05)],
+                         ids=["admissible", "asymptote", "clamped"])
+def test_single_superop_matches_kron_sum_bit_for_bit(n, m, t):
+    # the one-einsum build against the Kronecker sum it replaced
+    ops = _kraus_from(_radicands(SgadParams(1.0, n, m), t))
+    assert ops.shape == (4, 2, 2)
+    expect = sum(np.kron(k, k.conj()) for k in ops)
+    assert _single_superop(ops).tobytes() == expect.tobytes()
+
+
+def test_maps_on_stacks_match_per_state_calls_bit_for_bit():
+    p = SgadParams(1.0, 1.0, 0.5)
+    stack = np.array(random_states(12, 6)).reshape(2, 3, 8, 8)
+    maps = [lambda r: apply_uncorrelated(r, p, 1.0), lambda r: apply_correlated(r, p, 1.0)]
+    maps += [lambda r, mu=mu: apply_memory(r, p, 1.0, mu) for mu in (0.0, 0.37, 1.0)]
+    maps += [lambda r: asymptotic_state(r, p, 0.37)]
+    for phi in maps:
+        out = phi(stack)
+        expect = np.array([[phi(rho) for rho in row] for row in stack])
+        assert out.shape == (2, 3, 8, 8)
+        assert out.tobytes() == expect.tobytes()
+
+
+def test_apply_checks_stack_shape_and_each_trace():
+    p = SgadParams(1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="8, 8"):
+        apply_correlated(np.zeros((5, 8, 7)), p, 1.0)
+    # the clamped operator set gains trace on each qubit's |0> population
+    # only, so it keeps the trace of |111><111| and not that of |000><000|
+    clamped = _uncorrelated_superop(_kraus_from(_radicands(p, 0.05)))
+    stack = np.zeros((3, 8, 8), dtype=complex)
+    stack[:, 7, 7] = 1.0
+    assert np.abs(np.trace(_apply(clamped, stack), axis1=1, axis2=2) - 1.0).max() < 1e-12
+    stack[1] = np.diag(np.eye(8)[0])
+    with pytest.raises(RuntimeError, match="lost trace"):
+        _apply(clamped, stack)
 
 
 # -- integrator --------------------------------------------------------------

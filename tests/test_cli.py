@@ -203,6 +203,39 @@ def test_measure_row_margin_matches_xstate_criterion():
     assert margin == max(xstate_criterion(rho, pair).margin for pair in XSTATE_PAIRS)
 
 
+@pytest.mark.parametrize("text, expect", [
+    ("0:1:0.6", [0.0, 0.6]),
+    ("0:0.5:0.3", [0.0, 0.3]),
+    ("0:1:0.15", [0.15 * k for k in range(7)]),
+    ("0.09:1:0.07", [0.09 + 0.07 * k for k in range(13)] + [1.0]),
+    ("0.93:0.995:0.01", [0.93 + 0.01 * k for k in range(7)]),
+    ("0:1:0.01", [0.01 * k for k in range(101)]),
+    ("0.5:0.5:1", [0.5]),
+])
+def test_grid_points(text, expect):
+    assert cli._grid(text) == expect
+
+
+def test_grid_never_passes_stop():
+    # every point is start + k*step, except that a last point past stop by
+    # rounding is stop itself, and the next point would pass stop
+    steps = (0.01, 0.02, 0.03, 0.07, 0.15, 0.3, 0.45, 0.6, 0.7)
+    for start in [0.05 * k for k in range(20)]:
+        for step in steps:
+            vals = cli._grid(f"{start}:1:{step}")
+            assert max(vals) <= 1.0
+            assert vals[:-1] == [start + k * step for k in range(len(vals) - 1)]
+            assert vals[-1] in (start + (len(vals) - 1) * step, 1.0)
+            assert start + len(vals) * step > 1.0 + 1e-12
+
+
+def test_asymptotic_grid_stops_at_its_stop(capsys):
+    code, out, _ = run(capsys, ["asymptotic", "--family", "ghz1", "--n", "1",
+                                "--grid", "0:1:0.6"])
+    assert code == 0
+    assert [row.split(",")[3] for row in out.strip().splitlines()[1:]] == ["0", "0.6"]
+
+
 # -- gmn ---------------------------------------------------------------------------
 
 def test_gmn_family_and_witness_export(tmp_path, capsys):
@@ -251,6 +284,20 @@ def test_gmn_input_errors(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, ["gmn"])
     assert code == 2  # neither file nor family
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["gmn", "--family", "w"], "--family"),
+    (["gmn", "--alpha", "0.2"], "--alpha"),
+    (["evolve", "--family", "ghz1", "--beta", "0.3", "--omega-t", "1"], "--family, --beta"),
+], ids=["gmn-family", "gmn-alpha", "evolve-family-beta"])
+def test_state_file_with_state_flags_is_an_input_error(tmp_path, capsys, argv, flags):
+    # the file would silently replace the family and weight given as flags
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"family": "ghz1", "alpha": 0.9}))
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and flags in err
 
 
 def test_gmn_rejects_value_lists(capsys):
