@@ -126,7 +126,8 @@ def kraus_single(p, t):
     if not t >= 0:  # NaN fails this too; t = inf is the asymptote
         raise ValueError(f"t must be nonnegative, got {t}")
     rad = _radicands(p, t)
-    offenders = [k for k in ("k1", "k2", "k3", "k4", "xc", "xs") if rad[k] < -RADICAND_TOL]
+    # xc and xs are never negative (xs because m >= 0), so only k1..k4 can fail
+    offenders = [k for k in ("k1", "k2", "k3", "k4") if rad[k] < -RADICAND_TOL]
     if offenders:
         raise CpViolationError(offenders, p.n, p.m, p.omega * t, rad)
     return _kraus_from(rad)

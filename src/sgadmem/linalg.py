@@ -17,17 +17,15 @@ HERM_TOL = 1e-10
 class Bipartition:
     """One of the three one-vs-two qubit splits.
 
-    ``party`` holds the qubit positions (0 = A) of the single-qubit side.
+    ``party`` is the 1-tuple of the position (0 = A) of the single qubit.
     """
 
     label: str
     party: tuple
 
     def __post_init__(self):
-        if not self.party or len(self.party) >= 3:
-            raise ValueError("first party must be a nonempty proper subset of the 3 qubits")
-        if any(q not in (0, 1, 2) for q in self.party):
-            raise ValueError(f"qubit positions must be 0, 1 or 2, got {self.party}")
+        if len(self.party) != 1 or self.party[0] not in (0, 1, 2):
+            raise ValueError(f"party must be one qubit position 0, 1 or 2, got {self.party}")
 
 
 CUT_A = Bipartition("A|BC", (0,))
@@ -45,8 +43,8 @@ def tensor(*ops):
 
 
 def partial_transpose(rho, cut):
-    """Transpose the indices of ``cut.party`` in an 8x8 three-qubit matrix,
-    or in each matrix of a (..., 8, 8) stack.
+    """Transpose the indices of the qubit ``cut.party`` in an 8x8
+    three-qubit matrix, or in each matrix of a (..., 8, 8) stack.
 
     Involution; preserves Hermiticity, trace and Frobenius norm.
     """
@@ -55,8 +53,8 @@ def partial_transpose(rho, cut):
         raise ValueError(f"partial_transpose expects 8x8 matrices, got {rho.shape}")
     t = rho.reshape(rho.shape[:-2] + (2,) * 6)
     axes = list(range(t.ndim))
-    for q in cut.party:
-        axes[q - 6], axes[q - 3] = axes[q - 3], axes[q - 6]
+    q = cut.party[0]
+    axes[q - 6], axes[q - 3] = axes[q - 3], axes[q - 6]
     return t.transpose(axes).reshape(rho.shape)
 
 

@@ -41,23 +41,29 @@ def make_pure(family):
 
 
 def make_noisy(family, *, alpha=None, beta=None):
-    """White-noise mixture of a pure family state.
+    """A family state: pure, or mixed with white noise.
 
     GHZ families use visibility alpha:  alpha * pure + (1 - alpha) * I/8.
     W families use noise weight beta:   (1 - beta) * pure + beta/8 * I.
     The two conventions match the thresholds they are compared against.
+    Without the family's own weight the state is make_pure(family); the
+    other family's weight is a ValueError.
     """
     key = family.lower()
     pure = make_pure(key)
     eye8 = np.eye(8, dtype=complex) / 8
     if key.startswith("ghz"):
-        if alpha is None or beta is not None:
+        if beta is not None:
             raise ValueError("GHZ families take alpha, not beta")
+        if alpha is None:
+            return pure
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
         return alpha * pure + (1 - alpha) * eye8
-    if beta is None or alpha is not None:
+    if alpha is not None:
         raise ValueError("W families take beta, not alpha")
+    if beta is None:
+        return pure
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     return (1 - beta) * pure + beta * eye8
@@ -88,24 +94,19 @@ def validate(rho):
 
 
 def load_state(source):
-    """Read a state from a JSON file path, file object or parsed dict.
+    """Read a state from a JSON file path or an already parsed dict.
 
     Two forms are accepted: an explicit matrix
     {"dim": 8, "re": [[...]], "im": [[...]]} (im optional), or a named family
-    {"family": "ghz1", "alpha": 0.95} / {"family": "w", "beta": 0.2}.
+    {"family": "ghz1", "alpha": 0.95} / {"family": "w"}, built by make_noisy.
     """
     if isinstance(source, dict):
         obj = source
-    elif hasattr(source, "read"):
-        obj = json.load(source)
     else:
         with open(source) as f:
             obj = json.load(f)
     if "family" in obj:
-        fam = obj["family"].lower()
-        if "alpha" in obj or "beta" in obj:
-            return make_noisy(fam, alpha=obj.get("alpha"), beta=obj.get("beta"))
-        return make_pure(fam)
+        return make_noisy(obj["family"], alpha=obj.get("alpha"), beta=obj.get("beta"))
     if "re" not in obj:
         raise ValueError("state JSON needs either 'family' or 're'/'im' entries")
     re = np.asarray(obj["re"], dtype=float)

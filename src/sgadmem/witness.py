@@ -43,7 +43,7 @@ import numpy as np
 from .channel import SgadParams, asymptotic_state
 from .linalg import BIPARTITIONS, partial_transpose, hermitian_eigenvalues, trace_norm
 from .sdp import solve
-from .states import make_noisy, make_pure, validate
+from .states import make_noisy, validate
 
 GMN_EPS = 1e-6
 MARGIN_TOL = 1e-12
@@ -384,9 +384,11 @@ def xstate_criterion(rho, antidiag_pair):
 
     For the 1-based antidiagonal pair (i, j), compares |rho_ij| against the
     sum over the other three antidiagonal pairs (k, l) of
-    sqrt(rho_kk rho_ll). Violation (margin > 1e-12) implies genuine
-    multipartite entanglement; the test is necessary and sufficient on
-    GHZ-diagonal states but only necessary in general.
+    sqrt(rho_kk rho_ll). Every biseparable state satisfies this inequality
+    (Gühne & Seevinck, NJP 12, 053002 (2010)), so for every state a
+    violation (margin > 1e-12) implies genuine multipartite entanglement.
+    Satisfying it is necessary for biseparability, not sufficient in
+    general; on GHZ-diagonal states it is sufficient too.
     """
     rho = validate(rho)
     pair = (int(antidiag_pair[0]), int(antidiag_pair[1]))
@@ -494,8 +496,7 @@ def threshold_scan(family, scan, bracket, *, n=None, mu=None, alpha=None,
         weights = {"alpha": alpha, "beta": beta}
         if scan in weights:
             weights[scan] = v
-        weights = {k: w for k, w in weights.items() if w is not None}
-        state = make_noisy(family, **weights) if weights else make_pure(family)
+        state = make_noisy(family, **weights)
         if asymptotic:
             mu_v = v if scan == "mu" else mu
             state = asymptotic_state(state, SgadParams(1.0, float(n), 0.0), float(mu_v))

@@ -176,6 +176,17 @@ def test_cp_violation_names_all_offenders():
     assert "k3" in str(exc.value)
 
 
+def test_k3_k4_weights_are_never_negative():
+    # xc and xs are half the sum and half the difference of two decaying
+    # exponentials, the first no smaller than the second for m >= 0, so
+    # kraus_single checks only k1..k4
+    for n in (0.0, 0.1, 1.0, 5.0):
+        for m in (0.0, 0.5 * math.sqrt(n * (n + 1)), math.sqrt(n * (n + 1))):
+            for t in (0.0, 1e-3, 0.05, 1.0, 30.0, 1e3, math.inf):
+                rad = _radicands(SgadParams(1.0, n, m), t)
+                assert rad["xc"] >= 0.0 and rad["xs"] >= 0.0
+
+
 def test_vacuum_bath_never_admissible():
     # n=0 collapses to amplitude damping where the k1 radicand
     # e^{-t} - e^{-t/2} is negative for every t > 0

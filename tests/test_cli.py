@@ -310,9 +310,10 @@ def test_gmn_rejects_value_lists(capsys):
     ["gmn", "--family", "ghz1", "--beta", "0.3"],
     ["evolve", "--family", "w", "--alpha", "0.5", "--omega-t", "1"],
     ["asymptotic", "--family", "w", "--alpha", "0.5", "--n", "1", "--mu", "0.5"],
+    ["scan", "--family", "w", "--alpha", "0.5", "--scan", "beta", "--grid", "0.3:0.7"],
 ], ids=lambda argv: argv[0])
 def test_weight_of_the_other_family_is_an_input_error(capsys, argv):
-    # GHZ families take --alpha and W families --beta, as in scan
+    # GHZ families take --alpha and W families --beta, and the message names the flag
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert "input error" in err and argv[3] in err

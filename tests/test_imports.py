@@ -61,10 +61,11 @@ def test_every_private_name_is_used(path):
     assert not unused, f"{path.name} defines {unused}, which nothing in {SRC.name} uses"
 
 
-def _class_attributes(tree):
-    # (class, name) for each name assigned in a class body, except the fields
-    # of a dataclass (its annotated names, which its __init__ reads), and for
-    # each self.name assigned in one of its methods
+def _class_names(tree):
+    # (class, name, checked) for each name a class defines: a name assigned
+    # in its body, a self.name assigned in one of its methods, a method, or
+    # a field of a dataclass (an annotated name in its body). Methods and
+    # fields, which its __init__ reads, are not checked for reads.
     found = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
@@ -72,12 +73,14 @@ def _class_attributes(tree):
         dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found |= {(node.name, t.attr) for inner in ast.walk(stmt)
+                found.add((node.name, stmt.name, False))
+                found |= {(node.name, t.attr, True) for inner in ast.walk(stmt)
                           for target in _assign_targets(inner) for t in ast.walk(target)
                           if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
                           and isinstance(t.value, ast.Name) and t.value.id == "self"}
-            elif not (dataclass and isinstance(stmt, ast.AnnAssign)):
-                found |= {(node.name, t.id) for t in _assign_targets(stmt)
+            else:
+                field = dataclass and isinstance(stmt, ast.AnnAssign)
+                found |= {(node.name, t.id, not field) for t in _assign_targets(stmt)
                           if isinstance(t, ast.Name)}
     return found
 
@@ -99,13 +102,48 @@ def _attribute_reads(tree):
     return reads
 
 
+# Attributes read by a name that another class in the package defines as
+# well, so that such a read alone does not show which class it reaches;
+# each entry says why the attribute is read.
+SHARED_READS = {
+    ("_WitnessProgram", "C"): "sdp.solve and witness read problem.C; SdpProblem defines C too",
+    ("_WitnessProgram", "b"): "sdp.solve and witness read problem.b; SdpProblem defines b too",
+}
+
+
+def _reads_and_definers():
+    # the attribute reads of the package and its benchmark harness, and for
+    # each name the classes of the package that define it
+    readers = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    reads = set().union(*(_attribute_reads(ast.parse(p.read_text())) for p in readers))
+    definers = {}
+    for p in SRC.glob("*.py"):
+        for cls, name, _ in _class_names(ast.parse(p.read_text())):
+            definers.setdefault(name, set()).add(cls)
+    return reads, definers
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_class_attribute_is_read(path):
     # a class or instance attribute that neither its own methods nor any
     # other code in the package or its benchmark harness reads is dead code;
-    # self.name in another class is that class's own attribute
-    readers = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    reads = set().union(*(_attribute_reads(ast.parse(p.read_text())) for p in readers))
-    unread = sorted(f"{cls}.{name}" for cls, name in _class_attributes(ast.parse(path.read_text()))
-                    if (cls, name) not in reads and (None, name) not in reads)
+    # self.name in another class is that class's own attribute, and obj.name
+    # on anything else counts only for the one class that defines name
+    reads, definers = _reads_and_definers()
+    names = _class_names(ast.parse(path.read_text()))
+    unread = sorted(f"{cls}.{name}" for cls, name, checked in names
+                    if checked and (cls, name) not in reads and (cls, name) not in SHARED_READS
+                    and not ((None, name) in reads and definers[name] == {cls}))
     assert not unread, f"{path.name} defines {unread}, which nothing reads"
+
+
+def test_every_shared_read_is_needed():
+    # an entry of SHARED_READS names a checked attribute that its class
+    # never reads through self and whose name another class defines too
+    reads, definers = _reads_and_definers()
+    checked = {(cls, name) for p in SRC.glob("*.py")
+               for cls, name, check in _class_names(ast.parse(p.read_text())) if check}
+    stale = sorted(f"{cls}.{name}" for cls, name in SHARED_READS
+                   if (cls, name) not in checked or (cls, name) in reads
+                   or (None, name) not in reads or len(definers[name]) < 2)
+    assert not stale, f"SHARED_READS lists {stale}, which need no entry there"

@@ -566,3 +566,60 @@ def test_history_and_iterations_recorded():
     assert len(sol.history[0]) == 5
     # gap shrinks by many orders of magnitude
     assert sol.history[-1][2] < 1e-6 * max(sol.history[0][2], 1.0)
+
+
+# -- the numerical-failure exits, each of which returns the last iterate
+
+def test_non_finite_start_is_a_numerical_failure():
+    rng = np.random.default_rng(11)
+    prob = min_eig_problem(sym(rng.normal(size=(4, 4))))
+    X0 = np.eye(4)[None].copy()
+    X0[0, 0, 0] = np.inf  # one entry, so no 0 * inf is formed
+    y0, S0 = np.zeros(1), np.eye(4)[None]
+    sol = solve(prob, start=(X0, y0, S0))
+    assert sol.status == "numerical-failure" and sol.iterations == 0
+    assert np.array_equal(sol.X, X0) and np.array_equal(sol.y, y0) and np.array_equal(sol.S, S0)
+
+
+class _NoFactor(SdpProblem):
+    # every ridge of the schedule fails the definiteness test
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ridges = []
+
+    def schur(self, W):
+        trace, _ = super().schur(W)
+        self.trace = trace
+
+        def factor(ridge):
+            self.ridges.append(ridge)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        return trace, factor
+
+
+class _SchurRaises(SdpProblem):
+    def schur(self, W):
+        raise np.linalg.LinAlgError("singular")
+
+
+def test_exhausted_ridge_schedule_is_a_numerical_failure():
+    rng = np.random.default_rng(12)
+    c = sym(rng.normal(size=(4, 4)))
+    prob = _NoFactor([c], [np.eye(4)[None]], [1.0])
+    sol = solve(prob)
+    assert sol.status == "numerical-failure" and sol.iterations == 0
+    assert np.array_equal(sol.X, np.eye(4)[None]) and np.array_equal(sol.y, np.zeros(1))
+    assert np.array_equal(sol.S, np.eye(4)[None])
+    # ridge 0, then 1e-12 (tr M / m + 1) with m = 1, times 100 on each further failure
+    first = 1e-12 * (prob.trace + 1.0)
+    assert prob.ridges == [0.0, first, first * 100, first * 100 * 100]
+
+
+def test_linalg_error_in_an_iteration_is_a_numerical_failure():
+    rng = np.random.default_rng(13)
+    prob = _SchurRaises([sym(rng.normal(size=(4, 4)))], [np.eye(4)[None]], [1.0])
+    sol = solve(prob)
+    assert sol.status == "numerical-failure" and sol.iterations == 0
+    assert np.array_equal(sol.X, np.eye(4)[None]) and np.array_equal(sol.y, np.zeros(1))
+    assert np.array_equal(sol.S, np.eye(4)[None])

@@ -70,6 +70,18 @@ def test_make_noisy_parameter_checks():
         make_pure("ghz5")
 
 
+def test_make_noisy_without_its_weight_is_the_pure_state():
+    for fam in FAMILIES:
+        assert np.array_equal(make_noisy(fam), make_pure(fam))
+        assert np.array_equal(make_noisy(fam.upper()), make_pure(fam))
+    with pytest.raises(ValueError, match="GHZ families take alpha, not beta"):
+        make_noisy("ghz2", beta=0.5)
+    with pytest.raises(ValueError, match="W families take beta, not alpha"):
+        make_noisy("wtilde", alpha=0.5)
+    with pytest.raises(ValueError, match="W families take beta, not alpha"):
+        make_noisy("w", alpha=0.5, beta=0.5)
+
+
 def test_validate_accepts_and_symmetrizes():
     rng = np.random.default_rng(0)
     g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
