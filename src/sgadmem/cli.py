@@ -322,6 +322,8 @@ def _run_scan(args):
     resolution = rest[0] if rest else 1e-3
     family = args.family.lower()
     weight, values = _weights(args, family)
+    if args.scan not in (weight, "mu"):
+        raise ValueError(f"--scan {args.scan} does not apply to {family}, which takes --{weight}")
     result = threshold_scan(
         family, args.scan, (lo, hi),
         n=_single(args.n, "n"), mu=_single(args.mu, "mu"),
@@ -370,10 +372,11 @@ def build_parser():
                     "multipartite entanglement measures.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, help, flags, source=False):
+    def subcommand(name, help, run, flags, source=False):
         # no abbreviations: asymptotic has --mu but no --m, which would
         # otherwise be read as --mu
         sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        sp.set_defaults(run=run)
         for flag in flags:
             sp.add_argument(flag, **OPTIONS[flag])
         if source:
@@ -381,15 +384,16 @@ def build_parser():
                             help="JSON state file (alternative to --family)")
         return sp
 
-    subcommand("validate", "channel self-checks", ("--n", "--m", "--omega-t", "--format"))
-    subcommand("evolve", "time-resolved measures",
+    subcommand("validate", "channel self-checks", _run_validate,
+               ("--n", "--m", "--omega-t", "--format"))
+    subcommand("evolve", "time-resolved measures", _run_evolve,
                STATE + ("--n", "--m", "--mu", "--omega-t", "--tol", "--out", "--format"),
                source=True)
-    subcommand("asymptotic", "t -> inf parameter sweep",
+    subcommand("asymptotic", "t -> inf parameter sweep", _run_asymptotic,
                STATE + ("--n", "--mu", "--grid", "--workers", "--tol", "--out", "--format"))
-    subcommand("gmn", "genuine negativity of one state",
+    subcommand("gmn", "genuine negativity of one state", _run_gmn,
                STATE + ("--tol", "--out", "--format"), source=True)
-    s = subcommand("scan", "bisect for a gmn threshold",
+    s = subcommand("scan", "bisect for a gmn threshold", _run_scan,
                    STATE + ("--n", "--mu", "--grid", "--tol"))
     s.add_argument("--scan", choices=("alpha", "beta", "mu"), required=True)
     s.add_argument("--asymptotic", action="store_true",
@@ -400,19 +404,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    runners = {
-        "validate": _run_validate,
-        "evolve": _run_evolve,
-        "asymptotic": _run_asymptotic,
-        "gmn": _run_gmn,
-        "scan": _run_scan,
-    }
     try:
         for flag in FLOAT_LISTS:
             dest = flag[2:].replace("-", "_")
             if isinstance(getattr(args, dest, None), str):  # given, not the default
                 setattr(args, dest, _floats(getattr(args, dest), flag))
-        return runners[args.command](args)
+        return args.run(args)
     except (StateValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

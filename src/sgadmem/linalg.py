@@ -15,22 +15,22 @@ HERM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Bipartition:
-    """One of the three one-vs-two qubit splits.
-
-    ``party`` is the 1-tuple of the position (0 = A) of the single qubit.
+    """One of the three one-vs-two qubit splits, named by the position
+    ``qubit`` (0 = A, 1 = B, 2 = C) of the single qubit; partial_transpose
+    is the one place that maps it to matrix indices.
     """
 
     label: str
-    party: tuple
+    qubit: int
 
     def __post_init__(self):
-        if len(self.party) != 1 or self.party[0] not in (0, 1, 2):
-            raise ValueError(f"party must be one qubit position 0, 1 or 2, got {self.party}")
+        if self.qubit not in (0, 1, 2):
+            raise ValueError(f"qubit must be one qubit position 0, 1 or 2, got {self.qubit!r}")
 
 
-CUT_A = Bipartition("A|BC", (0,))
-CUT_B = Bipartition("B|AC", (1,))
-CUT_C = Bipartition("C|AB", (2,))
+CUT_A = Bipartition("A|BC", 0)
+CUT_B = Bipartition("B|AC", 1)
+CUT_C = Bipartition("C|AB", 2)
 BIPARTITIONS = (CUT_A, CUT_B, CUT_C)
 
 
@@ -43,7 +43,7 @@ def tensor(*ops):
 
 
 def partial_transpose(rho, cut):
-    """Transpose the indices of the qubit ``cut.party`` in an 8x8
+    """Transpose the indices of the qubit ``cut.qubit`` in an 8x8
     three-qubit matrix, or in each matrix of a (..., 8, 8) stack.
 
     Involution; preserves Hermiticity, trace and Frobenius norm.
@@ -53,7 +53,7 @@ def partial_transpose(rho, cut):
         raise ValueError(f"partial_transpose expects 8x8 matrices, got {rho.shape}")
     t = rho.reshape(rho.shape[:-2] + (2,) * 6)
     axes = list(range(t.ndim))
-    q = cut.party[0]
+    q = cut.qubit
     axes[q - 6], axes[q - 3] = axes[q - 3], axes[q - 6]
     return t.transpose(axes).reshape(rho.shape)
 

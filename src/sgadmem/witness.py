@@ -43,7 +43,7 @@ import numpy as np
 from .channel import SgadParams, asymptotic_state
 from .linalg import BIPARTITIONS, partial_transpose, hermitian_eigenvalues, trace_norm
 from .sdp import solve
-from .states import make_noisy, validate
+from .states import PSD_TOL, make_noisy, validate
 
 GMN_EPS = 1e-6
 MARGIN_TOL = 1e-12
@@ -56,10 +56,11 @@ def negativity(rho, cut):
     return max(0.0, trace_norm(partial_transpose(rho, cut)) - 1.0)
 
 
-def is_ppt(rho, cut, tol=1e-9):
-    """True iff the partial transpose across `cut` has no eigenvalue < -tol."""
+def is_ppt(rho, cut):
+    """True iff the partial transpose across `cut` has no eigenvalue below
+    -PSD_TOL, the tolerance validate allows a state's own eigenvalues."""
     rho = validate(rho)
-    return bool(hermitian_eigenvalues(partial_transpose(rho, cut))[0] >= -tol)
+    return bool(hermitian_eigenvalues(partial_transpose(rho, cut))[0] >= -PSD_TOL)
 
 
 # -- SDP assembly ------------------------------------------------------
@@ -79,8 +80,9 @@ def _pauli():
     H = np.zeros((64, 8, 8), dtype=complex)
     H[k[:, None], b ^ x[:, None], b] = _PHASE[_POPCOUNT[x & z]][:, None] * (_WALSH[z] / math.sqrt(8.0))
     T = H.reshape(64, 64).T.copy()
-    bit = np.array([[2 - cut.party[0]] for cut in BIPARTITIONS])  # qubit A is the top bit
-    s = 1.0 - 2.0 * ((x & z) >> bit & 1)
+    # tr(H_k^{T_M} H_k^H) = s[M, k], exactly +-1 after rounding, since tr(H_k H_k^H) = 1
+    s = np.rint(np.array([(partial_transpose(H, cut) * H.conj()).sum(axis=(1, 2)).real
+                          for cut in BIPARTITIONS]))
     T.flags.writeable = s.flags.writeable = False  # shared by every caller through the cache
     return T, s
 
@@ -140,7 +142,8 @@ class _WitnessProgram:
 
     Each qubit factor of H_k is I, X, Z or Y, and only Y changes sign when
     transposed, so H_k^{T_M} = s_M[k] H_k with s_M[k] = (-1)^{x_q z_q} for
-    the qubit q of cut M (_pauli). Per cut M the four 8x8 slack blocks are
+    the qubit q of cut M; _pauli reads the signs off partial_transpose as
+    s_M[k] = tr(H_k^{T_M} H_k^H). Per cut M the four 8x8 slack blocks are
 
         [W - Q_M^{T_M},  I - W + Q_M^{T_M},  Q_M,  I - Q_M],
 

@@ -306,17 +306,21 @@ def test_gmn_rejects_value_lists(capsys):
     assert "input error" in err and "--alpha" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["gmn", "--family", "ghz1", "--beta", "0.3"],
-    ["evolve", "--family", "w", "--alpha", "0.5", "--omega-t", "1"],
-    ["asymptotic", "--family", "w", "--alpha", "0.5", "--n", "1", "--mu", "0.5"],
-    ["scan", "--family", "w", "--alpha", "0.5", "--scan", "beta", "--grid", "0.3:0.7"],
-], ids=lambda argv: argv[0])
-def test_weight_of_the_other_family_is_an_input_error(capsys, argv):
+@pytest.mark.parametrize("argv, named", [
+    (["gmn", "--family", "ghz1", "--beta", "0.3"], "--beta"),
+    (["evolve", "--family", "w", "--alpha", "0.5", "--omega-t", "1"], "--alpha"),
+    (["asymptotic", "--family", "w", "--alpha", "0.5", "--n", "1", "--mu", "0.5"], "--alpha"),
+    (["scan", "--family", "w", "--alpha", "0.5", "--scan", "beta", "--grid", "0.3:0.7"], "--alpha"),
+    (["scan", "--family", "w", "--scan", "alpha", "--grid", "0.3:0.6"],
+     "--scan alpha does not apply to w, which takes --beta"),
+    (["scan", "--family", "ghz1", "--scan", "beta", "--grid", "0.3:0.6"],
+     "--scan beta does not apply to ghz1, which takes --alpha"),
+], ids=["gmn", "evolve", "asymptotic", "scan", "scan-w-alpha", "scan-ghz1-beta"])
+def test_weight_of_the_other_family_is_an_input_error(capsys, argv, named):
     # GHZ families take --alpha and W families --beta, and the message names the flag
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert "input error" in err and argv[3] in err
+    assert "input error" in err and named in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -147,3 +147,50 @@ def test_every_shared_read_is_needed():
                    if (cls, name) not in checked or (cls, name) in reads
                    or (None, name) not in reads or len(definers[name]) < 2)
     assert not stale, f"SHARED_READS lists {stale}, which need no entry there"
+
+
+def _defaulted_parameters():
+    # (callee, position, name) for each defaulted parameter of a public
+    # module-level function and each defaulted __init__ field of a dataclass
+    # in the package; position is None for a keyword-only parameter
+    found = []
+    for p in SRC.glob("*.py"):
+        for node in ast.parse(p.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                found += [(node.name, i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+                found += [(node.name, None, arg.arg)
+                          for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+            elif isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d)
+                                                          for d in node.decorator_list):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                          and "init=False" not in ast.unparse(s)]
+                found += [(node.name, i, s.target.id) for i, s in enumerate(fields)
+                          if s.value is not None]
+    return found
+
+
+def _passes(call, position, name):
+    # whether a call passes the parameter by keyword, by position, or
+    # through * or **
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or position is not None and (len(call.args) > position
+                                         or any(isinstance(a, ast.Starred) for a in call.args)))
+
+
+def test_every_public_default_is_set_by_a_caller():
+    # a default that no call in the package, its tests or its benchmark
+    # harness ever overrides is a knob nothing turns
+    files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    calls = {}
+    for p in files:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unset = sorted(f"{callee}({name}=...)" for callee, position, name in _defaulted_parameters()
+                   if not any(_passes(c, position, name) for c in calls.get(callee, [])))
+    assert not unset, f"no call passes {unset}"

@@ -78,10 +78,15 @@ def test_negativity_examples():
 
 
 def test_is_ppt_examples():
+    # the GHZ mixture's partial transposes have smallest eigenvalue
+    # (1 - 5 alpha)/8 on every cut: -5e-10 lies within PSD_TOL = 1e-9, -2e-9 not
+    inside = make_noisy("ghz1", alpha=0.2 + 8e-10)
+    outside = make_noisy("ghz1", alpha=0.2 + 3.2e-9)
     for cut in BIPARTITIONS:
         assert is_ppt(np.eye(8) / 8, cut)
         assert not is_ppt(make_pure("ghz1"), cut)
         assert is_ppt(make_noisy("ghz1", alpha=0.2), cut)
+        assert is_ppt(inside, cut) and not is_ppt(outside, cut)
 
 
 def test_ghz_white_noise_ppt_boundary():
