@@ -25,7 +25,7 @@ from .linalg import (
     tensor,
     trace_norm,
 )
-from .sdp import SdpProblem, SdpSolution, solve
+from .sdp import SdpSolution, solve
 from .states import (
     FAMILIES,
     StateValidationError,

@@ -233,6 +233,7 @@ def _run_evolve(args):
     rho0 = _state_from_args(args)
     params = SgadParams(1.0, _single(args.n, "n"), _single(args.m, "m"))
     mu = 0.0 if args.mu is None else _single(args.mu, "mu")
+    validate(rho0)  # an input error before any row; the rows evolve rho0 as given
     rows = []
     solver_trouble = False
     for t in args.omega_t:

@@ -53,21 +53,17 @@ each further failure, and "numerical-failure" after four. Both direction
 solves of an iteration use the one factor the schedule accepts. How M is
 held, tested and solved is up to the problem.
 
-SdpProblem is the generic problem, which the small test programs use. It
-holds every coefficient matrix, builds M dense, tests M + ridge I by
-Cholesky and solves it by LU, because numpy has no triangular solve. Rows
-are not screened, so they must be linearly independent (the Schur
-complement of dependent rows is singular). The witness program of the
-witness module (twelve 8x8 Hermitian blocks, 256 rows) holds no
-coefficient array and builds no m x m matrix: witness._WitnessProgram
-derives its real Schur system.
+The package has one problem, witness._WitnessProgram, the witness
+program of the witness module (twelve 8x8 Hermitian blocks, 256 rows). It
+holds no coefficient array and builds no m x m matrix: it derives its real
+Schur system. The tests hold a dense generic problem, with every
+coefficient matrix and M built dense, as its reference.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-SYM_TOL = 1e-10
 CENTRALITY_MIN = 1e-2
 
 
@@ -78,59 +74,6 @@ def _h(a):
 
 def _sym(a):
     return 0.5 * (a + _h(a))
-
-
-class SdpProblem:
-    """Validated standard-form problem over k blocks of one size d.
-
-    C: (k, d, d) Hermitian cost matrices.
-    A: (k, m, d, d) constraint coefficients, each (d, d) slice Hermitian.
-    b: real right-hand side vector (m,).
-
-    k and d are read from C. Construction checks the shapes and the
-    Hermiticity of every coefficient matrix.
-    """
-
-    def __init__(self, C, A, b):
-        sizes = [len(c) for c in C]
-        if len(set(sizes)) != 1:
-            raise ValueError(f"blocks must all have one size, got {sizes}")
-        self.C = np.asarray(C)
-        self.A = np.asarray(A)
-        self.b = np.asarray(b, dtype=float).copy()
-        k, d, m = len(sizes), sizes[0], self.b.size
-        if self.C.shape != (k, d, d):
-            raise ValueError(f"objective shape {self.C.shape} != ({k},{d},{d})")
-        if self.A.shape != (k, m, d, d):
-            raise ValueError(f"constraint shape {self.A.shape} != ({k},{m},{d},{d})")
-        if np.abs(self.C - _h(self.C)).max() > SYM_TOL:
-            raise ValueError("objective block is not Hermitian")
-        if m and np.abs(self.A - _h(self.A)).max() > SYM_TOL:
-            raise ValueError("constraint coefficient block is not Hermitian")
-
-    # -- operator A and its adjoint on (k, d, d) arrays --------------------
-
-    def apply(self, X):
-        # tr(A_i X) = sum A_i * X^T, over every block
-        return np.einsum("kiab,kba->i", self.A, X).real
-
-    def adjoint(self, y):
-        return _sym(np.tensordot(y, self.A, axes=(0, 1)))
-
-    def schur(self, W):
-        """tr M and factor at the NT points W, as the module docstring
-        states them."""
-        m = self.b.size
-        WAW = W[:, None] @ self.A @ W[:, None]
-        # tr(A_i Y) = sum conj(A_i) * Y for Hermitian A_i
-        M = _sym(np.tensordot(self.A.conj(), WAW, axes=([0, 2, 3], [0, 2, 3])).real)
-
-        def factor(ridge):
-            Mr = M + ridge * np.eye(m)
-            np.linalg.cholesky(Mr)
-            return lambda r: np.linalg.solve(Mr, r)
-
-        return float(np.trace(M)), factor
 
 
 @dataclass

@@ -73,11 +73,17 @@ def validate(rho):
     """Check Hermiticity, unit trace and positivity; return a symmetrized copy.
 
     All violations are collected and reported together with their magnitudes.
+    A matrix that is not square, or has a NaN or infinite entry, is rejected
+    first and alone: no comparison with NaN is ever true, so the other
+    checks would pass it.
     """
     rho = np.asarray(rho, dtype=complex)
     violations = []
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise StateValidationError([f"not a square matrix: shape {rho.shape}"])
+    if not np.isfinite(rho).all():
+        entries = ", ".join(str((int(i), int(j))) for i, j in np.argwhere(~np.isfinite(rho)))
+        raise StateValidationError([f"non-finite entries at {entries}"])
     herm_dev = np.abs(rho - rho.conj().T).max()
     if herm_dev > HERM_TOL:
         violations.append(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
@@ -111,6 +117,8 @@ def load_state(source):
         raise ValueError("state JSON needs either 'family' or 're'/'im' entries")
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    if im.shape != re.shape:
+        raise ValueError(f"'im' has shape {im.shape}, 're' has shape {re.shape}")
     dim = obj.get("dim", re.shape[0])
     rho = re + 1j * im
     if rho.shape != (dim, dim):

@@ -375,7 +375,6 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
 
 @dataclass
 class CriterionReport:
-    pair: tuple
     lhs: float
     rhs: float
     margin: float
@@ -391,7 +390,8 @@ def xstate_criterion(rho, antidiag_pair):
     (Gühne & Seevinck, NJP 12, 053002 (2010)), so for every state a
     violation (margin > 1e-12) implies genuine multipartite entanglement.
     Satisfying it is necessary for biseparability, not sufficient in
-    general; on GHZ-diagonal states it is sufficient too.
+    general; on GHZ-diagonal states it is sufficient too. The report holds
+    lhs, rhs, margin = lhs - rhs and violated, not the pair it was asked for.
     """
     rho = validate(rho)
     pair = (int(antidiag_pair[0]), int(antidiag_pair[1]))
@@ -399,8 +399,7 @@ def xstate_criterion(rho, antidiag_pair):
         raise ValueError(f"antidiagonal pair must be one of {XSTATE_PAIRS}, got {pair}")
     lhs, rhs = _xstate_sides(rho)[XSTATE_PAIRS.index(pair)]
     margin = lhs - rhs
-    return CriterionReport(pair=pair, lhs=lhs, rhs=rhs, margin=margin,
-                           violated=bool(margin > MARGIN_TOL))
+    return CriterionReport(lhs=lhs, rhs=rhs, margin=margin, violated=bool(margin > MARGIN_TOL))
 
 
 def _xstate_sides(rho):
@@ -444,7 +443,6 @@ def asymptotic_ghz1_criterion(alpha, n, mu):
 
 @dataclass
 class ScanResult:
-    scan: str
     found: bool
     boundary: float
     bracket: tuple
@@ -521,7 +519,7 @@ def threshold_scan(family, scan, bracket, *, n=None, mu=None, alpha=None,
             lo = mid
         else:
             hi = mid
-    return ScanResult(scan=scan, found=found,
+    return ScanResult(found=found,
                       boundary=0.5 * (lo + hi) if found else math.nan,
                       bracket=(lo, hi), lo_value=lo_value, hi_value=hi_value,
                       evaluations=len(statuses),

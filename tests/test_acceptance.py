@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from dense_sdp import SdpProblem
 
 from sgadmem import cli
 from sgadmem.channel import (
@@ -25,7 +26,7 @@ from sgadmem.channel import (
     kraus_single,
 )
 from sgadmem.linalg import BIPARTITIONS, partial_transpose, trace_norm
-from sgadmem.sdp import SdpProblem, solve
+from sgadmem.sdp import solve
 from sgadmem.states import make_noisy, make_pure, validate
 from sgadmem.witness import (
     asymptotic_ghz1_criterion,

@@ -398,6 +398,15 @@ def test_invalid_state_rejected(tmp_path, capsys):
     code, _, err = run(capsys, ["gmn", str(path)])
     assert code == 2
     assert "trace" in err
+    # a NaN passes every comparison, so it must be caught by name
+    nan = np.eye(8) / 8
+    nan[0, 0] = np.nan
+    path = tmp_path / "nan.json"
+    save_state(path, nan)
+    for command in ("gmn", "evolve"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 2 and not out
+        assert "non-finite entries at (0, 0)" in err
 
 
 # -- scan ------------------------------------------------------------------------

@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from dense_sdp import SdpProblem
 
 from sgadmem import sdp
 from sgadmem.channel import SgadParams, asymptotic_state
 from sgadmem.linalg import BIPARTITIONS, partial_transpose, tensor
-from sgadmem.sdp import CENTRALITY_MIN, SdpProblem, _predictor_steps, _scaling, _steps, solve
+from sgadmem.sdp import CENTRALITY_MIN, _predictor_steps, _scaling, _steps, solve
 from sgadmem.states import make_noisy, make_pure
 from sgadmem.witness import _pauli, _witness_program
 

@@ -101,6 +101,15 @@ def test_validate_collects_all_violations():
     assert "eigenvalue" in text.lower()
     with pytest.raises(StateValidationError):
         validate(np.eye(8))  # trace 8
+    # every comparison with NaN is false, so a NaN must be named, not passed
+    nan = np.eye(8) / 8
+    nan[0, 0] = np.nan
+    with pytest.raises(StateValidationError, match=r"non-finite entries at \(0, 0\)"):
+        validate(nan)
+    inf = np.eye(8) / 8
+    inf[0, 1] = inf[1, 0] = np.inf
+    with pytest.raises(StateValidationError, match=r"non-finite entries at \(0, 1\), \(1, 0\)"):
+        validate(inf)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -124,6 +133,10 @@ def test_load_matrix_dict_and_errors(tmp_path):
     assert np.abs(load_state(obj) - rho).max() < 1e-15
     with pytest.raises((ValueError, StateValidationError, KeyError)):
         load_state({"dim": 8, "re": np.eye(8).tolist()[:4]})
+    # an im of another shape than re is an error, not a broadcast
+    for im in ([[0.0]], [0.0] * 8):
+        with pytest.raises(ValueError, match=r"'im' has shape .* 're' has shape \(8, 8\)"):
+            load_state({"dim": 8, "re": (np.eye(8) / 8).tolist(), "im": im})
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     with pytest.raises((ValueError, json.JSONDecodeError)):
