@@ -105,17 +105,35 @@ def load_state(source):
     Two forms are accepted: an explicit matrix
     {"dim": 8, "re": [[...]], "im": [[...]]} (im optional), or a named family
     {"family": "ghz1", "alpha": 0.95} / {"family": "w"}, built by make_noisy.
+    An object's keys all belong to one form; family is a string, alpha and
+    beta are numbers or null, and re is two-dimensional. Anything else is a
+    ValueError naming the offending key or type.
     """
     if isinstance(source, dict):
         obj = source
     else:
         with open(source) as f:
             obj = json.load(f)
-    if "family" in obj:
-        return make_noisy(obj["family"], alpha=obj.get("alpha"), beta=obj.get("beta"))
-    if "re" not in obj:
+    if not isinstance(obj, dict):
+        raise ValueError(f"state JSON must be an object, got {type(obj).__name__}")
+    anchor = "family" if "family" in obj else "re"
+    if anchor not in obj:
         raise ValueError("state JSON needs either 'family' or 're'/'im' entries")
+    form = {"family", "alpha", "beta"} if anchor == "family" else {"dim", "re", "im"}
+    stray = sorted(set(obj) - form)
+    if stray:
+        raise ValueError(f"state JSON with {anchor!r} takes only {sorted(form)}, not {stray}")
+    if anchor == "family":
+        if not isinstance(obj["family"], str):
+            raise ValueError(f"'family' must be a string, got {type(obj['family']).__name__}")
+        for key in ("alpha", "beta"):
+            value = obj.get(key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ValueError(f"{key!r} must be a number or null, got {type(value).__name__}")
+        return make_noisy(obj["family"], alpha=obj.get("alpha"), beta=obj.get("beta"))
     re = np.asarray(obj["re"], dtype=float)
+    if re.ndim != 2:
+        raise ValueError(f"'re' must be a two-dimensional array, got shape {re.shape}")
     im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     if im.shape != re.shape:
         raise ValueError(f"'im' has shape {im.shape}, 're' has shape {re.shape}")

@@ -409,6 +409,27 @@ def test_invalid_state_rejected(tmp_path, capsys):
         assert "non-finite entries at (0, 0)" in err
 
 
+@pytest.mark.parametrize("obj, key", [
+    ({"family": "ghz1", "alpha": "0.5"}, "'alpha'"),
+    ({"family": "ghz1", "alpha": True}, "'alpha'"),
+    ({"family": 5}, "'family'"),
+    ({"re": 5}, "'re'"),
+    (7, "int"),
+    ("re", "str"),
+    ({"family": "ghz1", "re": [[1, 0], [0, 0]]}, "['re']"),
+    ({"re": (np.eye(8) / 8).tolist(), "alpha": 0.3}, "['alpha']"),
+], ids=["alpha-str", "alpha-bool", "family-int", "re-scalar", "top-int", "top-str",
+        "family-and-re", "re-and-alpha"])
+def test_state_file_outside_the_schema_is_an_input_error(tmp_path, capsys, obj, key):
+    # each was a traceback with exit 1, or a silently ignored key
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(obj))
+    for command in ("gmn", "evolve"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and key in err and "Traceback" not in err
+
+
 # -- scan ------------------------------------------------------------------------
 
 def test_scan_initial_state_boundary(capsys):

@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,10 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sgadmem"
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
-    # __init__.py re-exports on purpose; every other module uses what it imports
     tree = ast.parse(path.read_text())
     imported = {alias.asname or alias.name.split(".")[0]
                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -19,6 +21,30 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used)
     assert not unused, f"{path.name} never uses {unused}"
+
+
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+PACKAGE_PROBE = f"""
+import json
+import sgadmem
+bare = sorted(m for m in {MODULES!r} if hasattr(sgadmem, m))
+import sgadmem.cli
+print(json.dumps([bare, sorted(m for m in {MODULES!r} if hasattr(sgadmem, m))]))
+"""
+
+
+def test_cli_import_binds_every_module_on_the_package():
+    # the package binds no names of its own, so a bare import loads no
+    # module; importing sgadmem.cli loads every module and binds each as an
+    # attribute of the package, which the benchmark's tracer reads
+    pythonpath = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    bare, after_cli = json.loads(proc.stdout)
+    assert bare == []
+    assert after_cli == MODULES
 
 
 def _assign_targets(stmt):

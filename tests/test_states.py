@@ -125,6 +125,19 @@ def test_load_family_spec_dict():
     assert np.abs(rho - make_noisy("ghz1", alpha=0.5)).max() < 1e-15
     rho = load_state({"family": "w"})
     assert np.abs(rho - make_pure("w")).max() < 1e-15
+    rho = load_state({"family": "ghz1", "alpha": None})
+    assert np.abs(rho - make_pure("ghz1")).max() < 1e-15
+    # a weight is a JSON number or null; a bool would read as 0 or 1
+    for obj, message in [
+        ({"family": "ghz1", "alpha": "0.5"}, "'alpha' must be a number or null, got str"),
+        ({"family": "ghz1", "alpha": True}, "'alpha' must be a number or null, got bool"),
+        ({"family": "w", "beta": [0.3]}, "'beta' must be a number or null, got list"),
+        ({"family": 5}, "'family' must be a string, got int"),
+        # a matrix next to a family would be silently ignored
+        ({"family": "ghz1", "re": [[1, 0], [0, 0]]}, r"with 'family' takes only .*, not \['re'\]"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            load_state(obj)
 
 
 def test_load_matrix_dict_and_errors(tmp_path):
@@ -141,3 +154,12 @@ def test_load_matrix_dict_and_errors(tmp_path):
     p.write_text("{not json")
     with pytest.raises((ValueError, json.JSONDecodeError)):
         load_state(p)
+    with pytest.raises(ValueError, match=r"'re' must be a two-dimensional array, got shape \(\)"):
+        load_state({"re": 5})
+    # a family weight next to a matrix would be silently ignored
+    with pytest.raises(ValueError, match=r"with 're' takes only .*, not \['alpha'\]"):
+        load_state({"re": (np.eye(8) / 8).tolist(), "alpha": 0.3})
+    for text, kind in (("7", "int"), ('"re"', "str"), ("[]", "list")):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"state JSON must be an object, got {kind}"):
+            load_state(p)
