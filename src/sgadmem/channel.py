@@ -247,9 +247,20 @@ def apply_memory(rho, p, t, mu):
     return _apply(_memory_superop(p, t, mu, kraus_single), rho)
 
 
+@functools.lru_cache(maxsize=16)
+def _asymptotic_maps(p):
+    """The correlated and uncorrelated t -> inf maps of p, as read-only
+    64x64 arrays, built once per process for each of the last 16 baths."""
+    maps = (_correlated_superop(p, math.inf), _uncorrelated_superop(kraus_single(p, math.inf)))
+    for s in maps:
+        s.flags.writeable = False
+    return maps
+
+
 def asymptotic_state(rho, p, mu):
-    """t -> infinity limit of the memory channel: ``apply_memory`` at t = inf,
-    on an 8x8 matrix or (..., 8, 8) stack.
+    """t -> infinity limit of the memory channel on an 8x8 matrix or
+    (..., 8, 8) stack: ``apply_memory`` at t = inf bit for bit, from the two
+    maps that _asymptotic_maps holds for p.
 
     Both branches lose all m dependence in the limit. The uncorrelated limit
     is the per-qubit damping by the two surviving operators diag(a, b) and
@@ -259,20 +270,8 @@ def asymptotic_state(rho, p, mu):
     empties the borders and the rho_18 coherence and thermalizes the corner
     populations while leaving the inner block alone.
     """
-    return apply_memory(rho, p, math.inf, mu)
-
-
-def asymptotic_states(rhos, p, mus):
-    """asymptotic_state(rho, p, mu) for every rho in rhos and mu in mus, as
-    an array (len(rhos), len(mus), 8, 8), bit for bit. Each t -> inf map is
-    built at most once per call, when a mu first needs it."""
-    correlated = functools.cache(functools.partial(_correlated_superop, p, math.inf))
-    uncorrelated = functools.cache(lambda: _uncorrelated_superop(kraus_single(p, math.inf)))
-    rhos = np.asarray(rhos, dtype=complex).reshape(len(rhos), 8, 8)
-    out = np.empty((len(rhos), len(mus), 8, 8), dtype=complex)
-    for k, mu in enumerate(mus):
-        out[:, k] = _apply(_mixture(mu, correlated, uncorrelated), rhos)
-    return out
+    correlated, uncorrelated = _asymptotic_maps(p)
+    return _apply(_mixture(mu, lambda: correlated, lambda: uncorrelated), rho)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,12 +8,13 @@ Subcommands:
   gmn         genuine negativity of one state (family or JSON file)
   scan        bisection for a gmn > 0 threshold
 
-An asymptotic sweep builds each n's two t -> inf maps once and computes
-every row's state in the parent; workers only measure the states. Sweep
-output is deterministic: tasks are enumerated in grid order, results are
-collected by index regardless of worker scheduling, and floats are
-rendered with a fixed 12-significant-digit format, so identical configs
-produce byte-identical files at any --workers value.
+An asymptotic sweep computes every row's state in the parent, from each
+n's two t -> inf maps, which are built once per process; workers only
+measure the states. Sweep output is deterministic: tasks are enumerated
+in grid order, results are collected by index regardless of worker
+scheduling, and floats are rendered with a fixed 12-significant-digit
+format, so identical configs produce byte-identical files at any
+--workers value.
 
 Exit codes: 0 success, 1 validation failure, 2 input error or an option
 the subcommand does not read, 3 solver trouble (some emitted row has a
@@ -37,7 +38,7 @@ from .channel import (
     apply_correlated,
     apply_memory,
     apply_uncorrelated,
-    asymptotic_states,
+    asymptotic_state,
     choi_matrix,
     integrate_master,
     kraus_single,
@@ -51,6 +52,7 @@ SWEEP_COLUMNS = ("family", "param", "n", "mu", "gmn", "neg_A_BC", "neg_B_AC",
                  "neg_C_AB", "xstate_margin", "status")
 EVOLVE_COLUMNS = ("omega_t", "gmn", "neg_A_BC", "neg_B_AC", "neg_C_AB",
                   "xstate_margin", "trace_dev", "min_eig", "status")
+GRID_MAX_POINTS = 10**6
 
 
 def _fmt(v):
@@ -102,8 +104,10 @@ def _grid(text):
     start, stop, step = _grid_parts(text, (3,), "start:stop:step")
     if step <= 0 or stop < start:
         raise ValueError("grid needs step > 0 and stop >= start")
-    count = math.floor((stop - start) / step + 1e-9)
-    vals = [start + k * step for k in range(count + 1)]
+    span = (stop - start) / step + 1e-9  # in steps; inf if the division overflows
+    if span >= GRID_MAX_POINTS:
+        raise ValueError(f"grid {text} has more than {GRID_MAX_POINTS} points")
+    vals = [start + k * step for k in range(math.floor(span) + 1)]
     vals[-1] = min(vals[-1], stop)
     return vals
 
@@ -266,14 +270,13 @@ def _run_asymptotic(args):
     weights = values or [1.0 if weight == "alpha" else 0.0]  # the pure state
     # a bad weight, --n or mu is an input error (exit 2), not a sweep of error
     # rows: every row's state is computed here, before any row is measured
-    states = [make_noisy(family, **{weight: w}) for w in weights]
+    states = np.array([make_noisy(family, **{weight: w}) for w in weights])
     params = [SgadParams(1.0, n, 0.0) for n in args.n]
-    if args.grid:
-        mus = _grid(args.grid)
-    else:
-        mus = args.mu if args.mu is not None else _grid("0:1:0.01")
-    # rows in the order weight, n, mu
-    rhos = np.stack([asymptotic_states(states, p, mus) for p in params], axis=1).reshape(-1, 8, 8)
+    mus = args.mu if args.mu is not None else _grid(args.grid or "0:1:0.01")
+    # n is the outer loop, so each n's maps are built once however many the
+    # cache holds; the rows go in the order weight, n, mu
+    by_n = [[asymptotic_state(states, p, mu) for mu in mus] for p in params]
+    rhos = np.array(by_n).transpose(2, 0, 1, 3, 4).reshape(-1, 8, 8)
     keys = [(family, w, n, mu) for w in weights for n in args.n for mu in mus]
     measure = functools.partial(_measure_row, tol=args.tol)
     # a fork-started pool forks every worker on the first submit

@@ -467,7 +467,8 @@ def threshold_scan(family, scan, bracket, *, n=None, mu=None, alpha=None,
     anything else is a ValueError. If gmn - eps has the same
     sign at both ends the result has found=False and boundary=nan, which is
     a no-threshold outcome rather than an error. Otherwise the boundary is
-    bisected to within `resolution`.
+    bisected to within `resolution`, or to two adjacent floats if that is
+    finer than their spacing.
 
     Each probe is decided by its gmn bracket: lower > eps is above the
     threshold and upper <= eps below. A probe whose bracket straddles eps
@@ -513,7 +514,8 @@ def threshold_scan(family, scan, bracket, *, n=None, mu=None, alpha=None,
     lo_value, lo_pos = probe(lo)
     hi_value, hi_pos = probe(hi)
     found = lo_pos != hi_pos
-    while found and hi - lo > resolution:
+    # below the float spacing the midpoint of two adjacent ends is one of them
+    while found and hi - lo > resolution and math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
         if probe(mid)[1] == lo_pos:
             lo = mid

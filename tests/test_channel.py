@@ -12,6 +12,7 @@ from sgadmem.channel import (
     LindbladSpec,
     SgadParams,
     _apply,
+    _asymptotic_maps,
     _kraus_from,
     _radicands,
     _single_superop,
@@ -20,7 +21,6 @@ from sgadmem.channel import (
     apply_memory,
     apply_uncorrelated,
     asymptotic_state,
-    asymptotic_states,
     choi_matrix,
     integrate_master,
     kraus_single,
@@ -375,17 +375,29 @@ def test_asymptotic_mu_validation():
         asymptotic_state(make_pure("w"), SgadParams(1.0, 1.0, 0.0), -0.1)
 
 
-def test_asymptotic_states_match_asymptotic_state_bit_for_bit():
-    # the sweep's maps, built once per call, against one asymptotic_state per state
-    rhos = [make_pure("ghz1"), make_noisy("w", beta=0.3)] + random_states(11, 2)
-    mus = [0.0, 0.37, 1.0]
+def test_asymptotic_state_matches_apply_memory_bit_for_bit():
+    # the cached t -> inf maps against the maps apply_memory builds at t = inf,
+    # on a call that builds them and on one that reads them
+    rhos = np.array([make_pure("ghz1"), make_noisy("w", beta=0.3)] + random_states(11, 2))
+    _asymptotic_maps.cache_clear()
     for p in (SgadParams(1.0, 0.3, 0.0), SgadParams(1.0, 1.0, 0.5)):
-        out = asymptotic_states(rhos, p, mus)
-        expect = np.array([[asymptotic_state(rho, p, mu) for mu in mus] for rho in rhos])
-        assert out.shape == (4, 3, 8, 8)
-        assert out.tobytes() == expect.tobytes()
+        for mu in (0.0, 0.37, 1.0):
+            expect = apply_memory(rhos, p, math.inf, mu)
+            for _ in range(2):
+                out = asymptotic_state(rhos, p, mu)
+                assert out.shape == (4, 8, 8)
+                assert out.tobytes() == expect.tobytes()
     with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\], got 1.5"):
-        asymptotic_states(rhos, p, [0.5, 1.5])
+        asymptotic_state(rhos, p, 1.5)
+
+
+def test_asymptotic_maps_are_cached_read_only():
+    maps = _asymptotic_maps(SgadParams(1.0, 1.0, 0.0))
+    assert _asymptotic_maps(SgadParams(1.0, 1.0, 0.0)) is maps
+    for s in maps:
+        assert not s.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n, m, t", [(1.0, 0.5, 1.0), (1.0, 0.5, math.inf), (1.0, 0.0, 0.05)],

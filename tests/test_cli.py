@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from sgadmem.channel import SgadParams, asymptotic_state
-from sgadmem import cli
+from sgadmem import channel, cli
 from sgadmem.cli import main
 from sgadmem.states import load_state, make_noisy, make_pure, save_state
 from sgadmem.witness import XSTATE_PAIRS, gmn, xstate_criterion
@@ -161,8 +162,8 @@ def test_asymptotic_honours_tol(capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_rows_match_the_per_row_path(capsys, workers):
-    # each row as the sweep computed it before its maps were built once per n:
-    # one asymptotic_state call, then _measure_row
+    # each row on its own: one asymptotic_state call on its one state, then
+    # _measure_row
     code, out, _ = run(capsys, ["asymptotic", "--family", "ghz2", "--alpha", "0.4,0.9",
                                 "--n", "0.1,2", "--mu", "0,0.37,1", "--workers", workers])
     assert code == 0
@@ -189,6 +190,44 @@ def test_sweep_measures_asymptotic_state_bit_for_bit(monkeypatch, capsys):
     expect = [asymptotic_state(make_noisy("w", beta=beta), SgadParams(1.0, n, 0.0), mu)
               for beta in (0.0, 0.3) for n in (0.3, 1.0) for mu in (0.0, 0.37, 1.0)]
     assert np.array(measured).tobytes() == np.array(expect).tobytes()
+
+
+def test_sweep_builds_each_n_maps_once_per_process(monkeypatch, capsys):
+    built = []
+    correlated = channel._correlated_superop
+
+    def count(p, t):
+        if t == math.inf:
+            built.append(p.n)
+        return correlated(p, t)
+
+    def sweep(ns):
+        argv = ["asymptotic", "--family", "ghz2", "--alpha", "0.4,0.9",
+                "--n", ",".join(map(str, ns)), "--mu", "0,0.5,1"]
+        assert run(capsys, argv)[0] == 0
+
+    monkeypatch.setattr(channel, "_correlated_superop", count)
+    monkeypatch.setattr(cli, "_measure_row", lambda rho, tol: (0.0,) * 5 + ("optimal",))
+    channel._asymptotic_maps.cache_clear()
+    ten = [k / 10 for k in range(1, 11)]
+    sweep(ten)
+    assert built == ten
+    sweep(ten)
+    assert built == ten
+    # more n values than the cache holds: still one build each
+    many = [k + 2.0 for k in range(channel._asymptotic_maps.cache_info().maxsize + 2)]
+    sweep(many)
+    assert built == ten + many
+
+
+def test_grid_of_more_than_a_million_points_is_an_input_error(capsys):
+    for grid in ("0:1:1e-12", "0:1:1e-320"):  # the second overflows the count
+        code, out, err = run(capsys, ["asymptotic", "--family", "ghz1", "--grid", grid])
+        assert (code, out) == (2, "")
+        assert err == f"input error: grid {grid} has more than 1000000 points\n"
+    assert len(cli._grid("0:999999:1")) == 10**6
+    with pytest.raises(ValueError, match="more than 1000000 points"):
+        cli._grid("0:1000000:1")
 
 
 def test_measure_row_margin_matches_xstate_criterion():

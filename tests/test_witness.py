@@ -15,6 +15,7 @@ from sgadmem.linalg import BIPARTITIONS, CUT_A, hermitian_eigenvalues, partial_t
 from sgadmem.sdp import solve
 from sgadmem.states import make_noisy, make_pure, validate
 from sgadmem.witness import (
+    GMN_EPS,
     XSTATE_PAIRS,
     _bracket,
     _witness_program,
@@ -492,6 +493,26 @@ def test_threshold_scan_memory_boundary():
     assert result.found
     assert abs(result.boundary - 0.9628) <= 2e-3
     assert result.hi_value > 1e-6 and result.lo_value <= 1e-6
+
+
+def test_threshold_scan_finer_than_float_spacing_ends(monkeypatch):
+    # below the spacing of the floats in the bracket the midpoint of two
+    # adjacent ends is one of them; the scan keeps that pair as its bracket
+    probes = []
+
+    def counted(rho, tol):
+        probes.append(rho)
+        assert len(probes) <= 64, "the scan is still bisecting"
+        return gmn(rho, tol=tol)
+
+    monkeypatch.setattr(sgadmem.witness, "gmn", counted)
+    result = threshold_scan("ghz1", "alpha", (0.3, 0.6), resolution=1e-20)
+    lo, hi = result.bracket
+    assert result.found
+    assert np.nextafter(lo, hi) == hi
+    assert result.evaluations <= 64
+    # E = (7 alpha - 3)/4 on noisy GHZ, so gmn > eps from alpha = (3 + 4 eps)/7
+    assert abs(result.boundary - (3 + 4 * GMN_EPS) / 7) < 1e-7
 
 
 def test_threshold_scan_undecided_probe():
