@@ -16,6 +16,10 @@ scheduling, and floats are rendered with a fixed 12-significant-digit
 format, so identical configs produce byte-identical files at any
 --workers value.
 
+A scan bisects a line of states that _run_scan builds, a family mixture
+along its weight or its t -> inf state along the weight or mu, after
+checking every scan option; the witness module sees only the line.
+
 Exit codes: 0 success, 1 validation failure, 2 input error or an option
 the subcommand does not read, 3 solver trouble (some emitted row has a
 non-optimal solver status, or a scan probe's gmn bracket straddles the
@@ -139,10 +143,8 @@ def _state_from_args(args):
         return load_state(args.source)
     if not args.family:
         raise ValueError("need --family or a state file")
-    family = args.family.lower()
-    weight, values = _weights(args, family)
-    value = _single(values, weight)
-    return make_noisy(family, **{weight: value})
+    weight, values = _weights(args, args.family)
+    return make_noisy(args.family, **{weight: _single(values, weight)})
 
 
 def _measure_row(rho, tol):
@@ -265,19 +267,18 @@ def _run_asymptotic(args):
         raise ValueError("give --mu or --grid, not both")
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    family = args.family.lower()
-    weight, values = _weights(args, family)
+    weight, values = _weights(args, args.family)
     weights = values or [1.0 if weight == "alpha" else 0.0]  # the pure state
     # a bad weight, --n or mu is an input error (exit 2), not a sweep of error
     # rows: every row's state is computed here, before any row is measured
-    states = np.array([make_noisy(family, **{weight: w}) for w in weights])
+    states = np.array([make_noisy(args.family, **{weight: w}) for w in weights])
     params = [SgadParams(1.0, n, 0.0) for n in args.n]
     mus = args.mu if args.mu is not None else _grid(args.grid or "0:1:0.01")
     # n is the outer loop, so each n's maps are built once however many the
     # cache holds; the rows go in the order weight, n, mu
     by_n = [[asymptotic_state(states, p, mu) for mu in mus] for p in params]
     rhos = np.array(by_n).transpose(2, 0, 1, 3, 4).reshape(-1, 8, 8)
-    keys = [(family, w, n, mu) for w in weights for n in args.n for mu in mus]
+    keys = [(args.family, w, n, mu) for w in weights for n in args.n for mu in mus]
     measure = functools.partial(_measure_row, tol=args.tol)
     # a fork-started pool forks every worker on the first submit
     workers = min(args.workers, len(keys))
@@ -324,16 +325,27 @@ def _run_scan(args):
         raise ValueError("need --grid LO:HI for the bracket")
     lo, hi, *rest = _grid_parts(args.grid, (2, 3), "LO:HI or LO:HI:RESOLUTION")
     resolution = rest[0] if rest else 1e-3
-    family = args.family.lower()
-    weight, values = _weights(args, family)
+    weight, values = _weights(args, args.family)
     if args.scan not in (weight, "mu"):
-        raise ValueError(f"--scan {args.scan} does not apply to {family}, which takes --{weight}")
-    result = threshold_scan(
-        family, args.scan, (lo, hi),
-        n=_single(args.n, "n"), mu=_single(args.mu, "mu"),
-        **{weight: _single(values, weight)},
-        asymptotic=args.asymptotic, resolution=resolution, tol=args.tol,
-    )
+        raise ValueError(f"--scan {args.scan} does not apply to {args.family}, which takes --{weight}")
+    n, mu, fixed = _single(args.n, "n"), _single(args.mu, "mu"), _single(values, weight)
+    if args.scan == "mu" and not args.asymptotic:
+        raise ValueError("--scan mu requires --asymptotic")
+    if not args.asymptotic and (n is not None or mu is not None):
+        raise ValueError("n and mu apply only to asymptotic scans")
+    if args.asymptotic and mu is None and args.scan != "mu":
+        raise ValueError(f"an asymptotic scan of {args.scan} needs mu")
+    if {weight: fixed, "mu": mu}[args.scan] is not None:
+        raise ValueError(f"{args.scan} is the scanned variable and takes no fixed value")
+
+    def state_at(v):
+        at = {weight: fixed, "mu": mu, args.scan: v}
+        rho = make_noisy(args.family, **{weight: at[weight]})
+        if args.asymptotic:  # t -> inf maps carry no squeezing, so m is not an option
+            rho = asymptotic_state(rho, SgadParams(1.0, 1.0 if n is None else n, 0.0), at["mu"])
+        return rho
+
+    result = threshold_scan(state_at, (lo, hi), resolution=resolution, tol=args.tol)
     if result.found:
         print(f"boundary {args.scan} = {result.boundary:.6f} "
               f"(bracket [{result.bracket[0]:.6f}, {result.bracket[1]:.6f}], "

@@ -145,15 +145,14 @@ def _predictor_steps(R, dS):
     return _step(-1.0 - lam[:, -1].max()), _step(lam[:, 0].min())
 
 
-def solve(problem, tol=1e-8, max_iter=100, start=None):
+def solve(problem, start, tol=1e-8, max_iter=100):
     """Run the interior-point iteration of the module docstring: its steps,
     centering rule and ridge schedule.
 
-    ``start`` may supply (X0, y0, S0), X0 and S0 of shape (k, d, d) with
-    every block strictly positive definite; otherwise the identity
-    infeasible start X = S = I, y = 0 is used. Status is one of "optimal",
-    "max-iterations", "numerical-failure"; non-optimal exits still return
-    the last iterate. tol must be finite and positive.
+    ``start`` is (X0, y0, S0), X0 and S0 of shape (k, d, d) with every
+    block strictly positive definite; it need not be feasible. Status is
+    one of "optimal", "max-iterations", "numerical-failure"; non-optimal
+    exits still return the last iterate. tol must be finite and positive.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -163,9 +162,6 @@ def solve(problem, tol=1e-8, max_iter=100, start=None):
     bnorm = 1.0 + np.linalg.norm(problem.b)
     cnorm = 1.0 + np.sqrt(_tr2(C, C))
 
-    if start is None:
-        eye = np.broadcast_to(np.eye(d), (k, d, d))
-        start = (eye, np.zeros(m), eye)
     X, S = np.array(start[0]), np.array(start[2])
     y = np.asarray(start[1], dtype=float).copy()
     history = []

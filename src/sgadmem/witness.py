@@ -29,9 +29,11 @@ and a state that is PPT across one cut, a PPT mixture with E = 0
 (Jungnitsch, Moroder & Gühne, PRL 106, 190502 (2011)), runs no
 interior-point iteration; see _bracket.
 
-Also here: bipartite negativity and PPT checks, the antidiagonal
-coherence-vs-populations inequality for X-shaped states, its closed-form
-asymptotic-state specialization, and bisection threshold scans.
+Also here: bipartite negativity, the antidiagonal coherence-vs-populations
+inequality for X-shaped states, its closed-form asymptotic-state
+specialization, and a bisection for the gmn threshold along a line of
+states. This module builds no state: the scan takes its states from the
+caller, so nothing here depends on the channel module.
 """
 
 import math
@@ -40,10 +42,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import SgadParams, asymptotic_state
-from .linalg import BIPARTITIONS, partial_transpose, hermitian_eigenvalues, trace_norm
+from .linalg import BIPARTITIONS, partial_transpose, trace_norm
 from .sdp import solve
-from .states import PSD_TOL, make_noisy, validate
+from .states import validate
 
 GMN_EPS = 1e-6
 MARGIN_TOL = 1e-12
@@ -54,13 +55,6 @@ def negativity(rho, cut):
     """Bipartite negativity across `cut`: trace_norm(rho^{T_M}) - 1."""
     rho = validate(rho)
     return max(0.0, trace_norm(partial_transpose(rho, cut)) - 1.0)
-
-
-def is_ppt(rho, cut):
-    """True iff the partial transpose across `cut` has no eigenvalue below
-    -PSD_TOL, the tolerance validate allows a state's own eigenvalues."""
-    rho = validate(rho)
-    return bool(hermitian_eigenvalues(partial_transpose(rho, cut))[0] >= -PSD_TOL)
 
 
 # -- SDP assembly ------------------------------------------------------
@@ -452,23 +446,17 @@ class ScanResult:
     status: str
 
 
-def threshold_scan(family, scan, bracket, *, n=None, mu=None, alpha=None,
-                   beta=None, asymptotic=False, eps=GMN_EPS, resolution=1e-3,
-                   tol=1e-8):
-    """Bisect `scan` over `bracket` for the gmn > eps boundary.
+def threshold_scan(state_at, bracket, *, eps=GMN_EPS, resolution=1e-3, tol=1e-8):
+    """Bisect v over `bracket` for the gmn > eps boundary of the states
+    state_at(v).
 
-    scan is "alpha", "beta" (mixture weight of the chosen family) or "mu"
-    (memory weight; requires asymptotic=True since mu only enters through
-    the channel). With asymptotic=True each probe state is the t -> inf
-    output at bath occupation n (default 1.0) and memory weight mu;
-    asymptotic maps carry no squeezing dependence, so m is not a parameter
-    here. n and mu apply to asymptotic scans only, an asymptotic scan of
-    alpha or beta needs mu, and the scanned variable takes no fixed value:
-    anything else is a ValueError. If gmn - eps has the same
-    sign at both ends the result has found=False and boundary=nan, which is
-    a no-threshold outcome rather than an error. Otherwise the boundary is
-    bisected to within `resolution`, or to two adjacent floats if that is
-    finer than their spacing.
+    state_at maps a float to a three-qubit state; the scans of the paper
+    run along affine lines of states, a mixture weight or the memory weight
+    of the t -> inf state. If gmn - eps has the same sign at both ends the
+    result has found=False and boundary=nan, which is a no-threshold outcome
+    rather than an error. Otherwise the boundary is bisected to within
+    `resolution`, or to two adjacent floats if that is finer than their
+    spacing.
 
     Each probe is decided by its gmn bracket: lower > eps is above the
     threshold and upper <= eps below. A probe whose bracket straddles eps
@@ -477,17 +465,6 @@ def threshold_scan(family, scan, bracket, *, n=None, mu=None, alpha=None,
     status, or "undecided"), or "optimal" if every probe was; such a probe
     may have decided a bisection step.
     """
-    if scan not in ("alpha", "beta", "mu"):
-        raise ValueError('scan must be "alpha", "beta" or "mu"')
-    if scan == "mu" and not asymptotic:
-        raise ValueError("scanning mu requires asymptotic=True")
-    if not asymptotic and (n is not None or mu is not None):
-        raise ValueError("n and mu apply only to asymptotic scans")
-    if asymptotic and mu is None and scan != "mu":
-        raise ValueError(f"an asymptotic scan of {scan} needs mu")
-    if {"alpha": alpha, "beta": beta, "mu": mu}[scan] is not None:
-        raise ValueError(f"{scan} is the scanned variable and takes no fixed value")
-    n = 1.0 if n is None else n
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution}")
 
@@ -495,14 +472,7 @@ def threshold_scan(family, scan, bracket, *, n=None, mu=None, alpha=None,
 
     def probe(v):
         """(value, above eps) at v."""
-        weights = {"alpha": alpha, "beta": beta}
-        if scan in weights:
-            weights[scan] = v
-        state = make_noisy(family, **weights)
-        if asymptotic:
-            mu_v = v if scan == "mu" else mu
-            state = asymptotic_state(state, SgadParams(1.0, float(n), 0.0), float(mu_v))
-        report = gmn(state, tol=tol)
+        report = gmn(state_at(v), tol=tol)
         decided = report.lower > eps or report.upper <= eps
         statuses.append(report.status if report.status != "optimal" or decided
                         else "undecided")

@@ -1,5 +1,6 @@
 """A generic dense standard-form problem for sgadmem.sdp.solve, which the
-small test programs and the dense reference of the witness program use.
+small test programs and the dense reference of the witness program use,
+and the identity start those small programs are solved from.
 
 It holds every coefficient matrix, builds the Schur complement M dense,
 tests M + ridge I by Cholesky and solves it by LU, because numpy has no
@@ -65,3 +66,10 @@ class SdpProblem:
             return lambda r: np.linalg.solve(Mr, r)
 
         return float(np.trace(M)), factor
+
+
+def identity_start(problem):
+    """The infeasible start X = S = I, y = 0 of a problem's blocks and rows."""
+    k, d = problem.C.shape[:2]
+    eye = np.broadcast_to(np.eye(d), (k, d, d))
+    return eye, np.zeros(problem.b.size), eye

@@ -75,14 +75,14 @@ def test_c01_pure_state_gmn():
 
 def test_c02_initial_state_thresholds():
     tic = time.perf_counter()
-    res = threshold_scan("ghz1", "alpha", (0.3, 0.6))
+    res = threshold_scan(lambda alpha: make_noisy("ghz1", alpha=alpha), (0.3, 0.6))
     took = time.perf_counter() - tic
     assert res.found
     assert abs(res.boundary - 0.429) <= 5e-3, f"alpha* = {res.boundary:.4f}"
     assert took < 120.0, f"alpha scan took {took:.0f}s"
 
     tic = time.perf_counter()
-    res = threshold_scan("w", "beta", (0.3, 0.7))
+    res = threshold_scan(lambda beta: make_noisy("w", beta=beta), (0.3, 0.7))
     took = time.perf_counter() - tic
     assert res.found
     assert abs(res.boundary - 0.521) <= 5e-3, f"beta* = {res.boundary:.4f}"
@@ -194,18 +194,19 @@ def test_c06_memory_sweep_ghz1():
 
     boundaries = {}
     for alpha in (0.95, 0.9):
-        res = threshold_scan("ghz1", "mu", (0.02, 0.98), alpha=alpha,
-                             asymptotic=True)
+        rho0 = make_noisy("ghz1", alpha=alpha)
+        res = threshold_scan(lambda mu: asymptotic_state(rho0, params, mu), (0.02, 0.98))
         assert res.found, f"no memory threshold for alpha={alpha}"
         boundaries[alpha] = res.boundary
     assert boundaries[0.9] > boundaries[0.95]
 
 
 def test_c07_biseparable_mixtures_regain_gme():
+    params = SgadParams(1.0, 0.1, 0.0)
     tic = time.perf_counter()
     for alpha in (0.395, 0.398, 0.400):
-        res = threshold_scan("ghz2", "mu", (0.93, 0.995), n=0.1, alpha=alpha,
-                             asymptotic=True)
+        rho0 = make_noisy("ghz2", alpha=alpha)
+        res = threshold_scan(lambda mu: asymptotic_state(rho0, params, mu), (0.93, 0.995))
         assert res.found, f"no memory threshold at alpha={alpha}"
         assert 0.95 <= res.boundary <= 0.99, (
             f"alpha={alpha}: mu* = {res.boundary:.4f}")

@@ -11,7 +11,7 @@ from sgadmem.channel import SgadParams, asymptotic_state
 from sgadmem import channel, cli
 from sgadmem.cli import main
 from sgadmem.states import load_state, make_noisy, make_pure, save_state
-from sgadmem.witness import XSTATE_PAIRS, gmn, xstate_criterion
+from sgadmem.witness import XSTATE_PAIRS, gmn, threshold_scan, xstate_criterion
 
 
 def run(capsys, argv):
@@ -509,12 +509,34 @@ def test_scan_rejects_value_lists(capsys):
     (["--scan", "alpha", "--grid", "0.42:0.44:0.005", "--alpha", "0.5"], "scanned"),
     (["--scan", "mu", "--asymptotic", "--grid", "0.93:0.995", "--mu", "0.5"], "scanned"),
     (["--scan", "alpha", "--asymptotic", "--grid", "0.4:0.5"], "needs mu"),
+    (["--scan", "mu", "--grid", "0.1:0.9"], "--scan mu requires --asymptotic"),
 ], ids=["n-without-asymptotic", "mu-without-asymptotic", "fixed-alpha", "fixed-mu",
-        "asymptotic-without-mu"])
+        "asymptotic-without-mu", "mu-scan-without-asymptotic"])
 def test_scan_rejects_options_it_would_ignore(capsys, argv, message):
     code, out, err = run(capsys, ["scan", "--family", "ghz2"] + argv)
     assert code == 2 and out == ""
     assert err.startswith("input error:") and message in err
+
+
+def test_asymptotic_weight_scan_bisects_its_line(monkeypatch, capsys):
+    # with --asymptotic and a fixed --mu, a weight scan probes the t -> inf
+    # states of the family mixtures
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(threshold_scan(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "threshold_scan", recording)
+    code, out, _ = run(capsys, ["scan", "--family", "ghz2", "--scan", "alpha", "--asymptotic",
+                                "--mu", "0.97", "--n", "0.1", "--grid", "0.3:0.6"])
+    assert code == 0
+    assert out == ("boundary alpha = 0.396387 (bracket [0.396094, 0.396680], 11 evaluations)\n"
+                   "status = optimal\n")
+    bath = SgadParams(1.0, 0.1, 0.0)
+    own = threshold_scan(lambda alpha: asymptotic_state(make_noisy("ghz2", alpha=alpha), bath, 0.97),
+                         (0.3, 0.6))
+    assert [r.bracket for r in results] == [own.bracket]
 
 
 def test_entry_point_runs():

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from dense_sdp import SdpProblem
+from dense_sdp import SdpProblem, identity_start
 
 from sgadmem import sdp
 from sgadmem.channel import SgadParams, asymptotic_state
@@ -426,7 +426,7 @@ def test_forced_value_example():
     # min tr(X) s.t. X_11 = 1 -> 1
     d = 3
     prob = SdpProblem([np.eye(d)], [unit(d, 0, 0)[None]], [1.0])
-    sol = solve(prob)
+    sol = solve(prob, identity_start(prob))
     assert sol.status == "optimal"
     assert abs(sol.primal_obj - 1.0) < 1e-6
     assert abs(sol.X[0][0, 0] - 1.0) < 1e-6
@@ -437,7 +437,8 @@ def test_min_eigenvalue_20_random():
     real = [sym(rng.normal(size=(7, 7))) for _ in range(20)]
     hermitian = [rand_herm(rng, 7) for _ in range(20)]
     for c in real + hermitian:
-        sol = solve(min_eig_problem(c))
+        prob = min_eig_problem(c)
+        sol = solve(prob, identity_start(prob))
         assert sol.status == "optimal"
         target = np.linalg.eigvalsh(c)[0]
         assert abs(sol.primal_obj - target) < 1e-6
@@ -448,7 +449,7 @@ def test_two_blocks_min_eig():
     rng = np.random.default_rng(1)
     c1, c2 = sym(rng.normal(size=(4, 4))), sym(rng.normal(size=(4, 4)))
     prob = SdpProblem([c1, c2], [np.eye(4)[None], np.eye(4)[None]], [1.0])
-    sol = solve(prob)
+    sol = solve(prob, identity_start(prob))
     target = min(np.linalg.eigvalsh(c1)[0], np.linalg.eigvalsh(c2)[0])
     assert abs(sol.primal_obj - target) < 1e-6
     assert_matches_reference(prob, sol)
@@ -476,7 +477,7 @@ def test_diagonal_lp_vs_vertex_enumeration():
                 continue
             best = min(best, c[i] * xv[0] + c[j] * xv[1])
         prob = SdpProblem([np.diag(c)], [np.array([np.diag(A[0]), np.diag(A[1])])], b)
-        sol = solve(prob)
+        sol = solve(prob, identity_start(prob))
         assert sol.status == "optimal"
         assert abs(sol.primal_obj - best) < 1e-6
 
@@ -502,7 +503,7 @@ def test_complementarity_at_optimum():
     hermitian = (rand_herm(rng, 4), rand_herm(rng, 4))
     for c1, c2 in (real, hermitian):
         prob = SdpProblem([c1, c2], [np.eye(4)[None], np.eye(4)[None]], [1.0])
-        sol = solve(prob)
+        sol = solve(prob, identity_start(prob))
         assert sol.status == "optimal"
         assert_matches_reference(prob, sol)
         for xb, sb in zip(sol.X, sol.S):
@@ -514,10 +515,10 @@ def test_orthogonal_remixing_invariance():
     c = sym(rng.normal(size=(5, 5)))
     a1 = sym(rng.normal(size=(5, 5)))
     prob = SdpProblem([c], [np.stack([np.eye(5), a1])], [1.0, float(np.trace(a1) / 5.0)])
-    base = solve(prob)
+    base = solve(prob, identity_start(prob))
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     rot = SdpProblem([q @ c @ q.T], [np.stack([np.eye(5), q @ a1 @ q.T])], prob.b)
-    mixed = solve(rot)
+    mixed = solve(rot, identity_start(rot))
     assert base.status == mixed.status == "optimal"
     assert abs(base.primal_obj - mixed.primal_obj) <= 2e-8 * (1 + abs(base.primal_obj))
 
@@ -526,8 +527,8 @@ def test_objective_scaling():
     rng = np.random.default_rng(6)
     c = sym(rng.normal(size=(5, 5)))
     scale = 37.0
-    v1 = solve(min_eig_problem(c)).primal_obj
-    v2 = solve(min_eig_problem(scale * c)).primal_obj
+    v1, v2 = (solve(prob, identity_start(prob)).primal_obj
+              for prob in (min_eig_problem(c), min_eig_problem(scale * c)))
     assert abs(v2 - scale * v1) <= 1e-7 * scale
 
 
@@ -556,13 +557,14 @@ def test_tolerance_must_be_finite_and_positive():
     prob = min_eig_problem(np.eye(3))
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="tol"):
-            solve(prob, tol=tol)
-    assert solve(prob, tol=1e-16).iterations > 0
+            solve(prob, identity_start(prob), tol=tol)
+    assert solve(prob, identity_start(prob), tol=1e-16).iterations > 0
 
 
 def test_history_and_iterations_recorded():
     rng = np.random.default_rng(8)
-    sol = solve(min_eig_problem(sym(rng.normal(size=(5, 5)))))
+    prob = min_eig_problem(sym(rng.normal(size=(5, 5))))
+    sol = solve(prob, identity_start(prob))
     assert sol.iterations == len(sol.history) - 1
     assert len(sol.history[0]) == 5
     # gap shrinks by many orders of magnitude
@@ -608,7 +610,7 @@ def test_exhausted_ridge_schedule_is_a_numerical_failure():
     rng = np.random.default_rng(12)
     c = sym(rng.normal(size=(4, 4)))
     prob = _NoFactor([c], [np.eye(4)[None]], [1.0])
-    sol = solve(prob)
+    sol = solve(prob, start=(np.eye(4)[None], np.zeros(1), np.eye(4)[None]))
     assert sol.status == "numerical-failure" and sol.iterations == 0
     assert np.array_equal(sol.X, np.eye(4)[None]) and np.array_equal(sol.y, np.zeros(1))
     assert np.array_equal(sol.S, np.eye(4)[None])
@@ -620,7 +622,7 @@ def test_exhausted_ridge_schedule_is_a_numerical_failure():
 def test_linalg_error_in_an_iteration_is_a_numerical_failure():
     rng = np.random.default_rng(13)
     prob = _SchurRaises([sym(rng.normal(size=(4, 4)))], [np.eye(4)[None]], [1.0])
-    sol = solve(prob)
+    sol = solve(prob, start=(np.eye(4)[None], np.zeros(1), np.eye(4)[None]))
     assert sol.status == "numerical-failure" and sol.iterations == 0
     assert np.array_equal(sol.X, np.eye(4)[None]) and np.array_equal(sol.y, np.zeros(1))
     assert np.array_equal(sol.S, np.eye(4)[None])

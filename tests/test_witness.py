@@ -21,7 +21,6 @@ from sgadmem.witness import (
     _witness_program,
     asymptotic_ghz1_criterion,
     gmn,
-    is_ppt,
     negativity,
     threshold_scan,
     xstate_criterion,
@@ -76,18 +75,6 @@ def test_negativity_examples():
     assert negativity(np.eye(8) / 8, CUT_A) == 0.0
     assert abs(negativity(make_pure("ghz1"), CUT_A) - 1.0) < 1e-12
     assert abs(negativity(make_pure("w"), CUT_A) - 2.0 * math.sqrt(2.0) / 3.0) < 1e-12
-
-
-def test_is_ppt_examples():
-    # the GHZ mixture's partial transposes have smallest eigenvalue
-    # (1 - 5 alpha)/8 on every cut: -5e-10 lies within PSD_TOL = 1e-9, -2e-9 not
-    inside = make_noisy("ghz1", alpha=0.2 + 8e-10)
-    outside = make_noisy("ghz1", alpha=0.2 + 3.2e-9)
-    for cut in BIPARTITIONS:
-        assert is_ppt(np.eye(8) / 8, cut)
-        assert not is_ppt(make_pure("ghz1"), cut)
-        assert is_ppt(make_noisy("ghz1", alpha=0.2), cut)
-        assert is_ppt(inside, cut) and not is_ppt(outside, cut)
 
 
 def test_ghz_white_noise_ppt_boundary():
@@ -216,6 +203,16 @@ def test_w_family_solves_independent_of_blas_threads():
         assert abs(results["1"][name][1] - results["2"][name][1]) <= 1e-7, (
             f"{name}: {results['1'][name][1]!r} (1 thread) vs "
             f"{results['2'][name][1]!r} (2 threads)")
+
+
+@pytest.mark.xfail(strict=True, reason="far from any threshold (gmn 0.8747), this "
+                   "solve ends numerical-failure after 31 iterations with a bracket "
+                   "1.5e-6 wide, at 1 and 2 BLAS threads")
+def test_pure_w_asymptote_solves_optimal():
+    # the mu = 0.99 row of `asymptotic --family w --n 0.1`; its neighbours
+    # on the 0.01 grid over [0.90, 1] all end optimal
+    rho = asymptotic_state(make_pure("w"), SgadParams(1.0, 0.1, 0.0), 0.99)
+    assert gmn(rho).status == "optimal"
 
 
 def test_gmn_ghz_werner_values():
@@ -461,35 +458,30 @@ def test_asymptotic_criterion_matches_pipeline_spots():
 
 # -- threshold scans ----------------------------------------------------------
 
+def noisy_ghz1(alpha):
+    return make_noisy("ghz1", alpha=alpha)
+
+
 def test_threshold_scan_validation():
+    # the options that pick the line are checked where it is built, in the CLI
     with pytest.raises(ValueError):
-        threshold_scan("ghz1", "gamma", (0.0, 1.0))
-    with pytest.raises(ValueError):
-        threshold_scan("ghz1", "mu", (0.0, 1.0))  # mu needs asymptotic=True
-    with pytest.raises(ValueError):
-        threshold_scan("ghz1", "alpha", (0.9, 0.3))
-    # a value the scan would ignore, and an asymptotic weight scan without mu
-    for kwargs in (dict(n=5.0), dict(mu=0.3), dict(alpha=0.5), dict(asymptotic=True)):
-        with pytest.raises(ValueError):
-            threshold_scan("ghz1", "alpha", (0.6, 0.9), **kwargs)
-    with pytest.raises(ValueError, match="scanned"):
-        threshold_scan("ghz2", "mu", (0.94, 0.98), alpha=0.398, mu=0.5, asymptotic=True)
+        threshold_scan(noisy_ghz1, (0.9, 0.3))
     for resolution in (0.0, -1.0, math.nan):
         # (0.6, 0.9) has no sign change, so a scan that probed would return
         with pytest.raises(ValueError, match="resolution"):
-            threshold_scan("ghz1", "alpha", (0.6, 0.9), resolution=resolution)
+            threshold_scan(noisy_ghz1, (0.6, 0.9), resolution=resolution)
 
 
 def test_threshold_scan_no_sign_change():
-    result = threshold_scan("ghz1", "alpha", (0.6, 0.9))
+    result = threshold_scan(noisy_ghz1, (0.6, 0.9))
     assert not result.found
     assert math.isnan(result.boundary)
     assert result.lo_value > 1e-6 and result.hi_value > 1e-6
 
 
 def test_threshold_scan_memory_boundary():
-    result = threshold_scan("ghz2", "mu", (0.94, 0.98), alpha=0.398, n=0.1,
-                            asymptotic=True)
+    rho0, bath = make_noisy("ghz2", alpha=0.398), SgadParams(1.0, 0.1, 0.0)
+    result = threshold_scan(lambda mu: asymptotic_state(rho0, bath, mu), (0.94, 0.98))
     assert result.found
     assert abs(result.boundary - 0.9628) <= 2e-3
     assert result.hi_value > 1e-6 and result.lo_value <= 1e-6
@@ -506,7 +498,7 @@ def test_threshold_scan_finer_than_float_spacing_ends(monkeypatch):
         return gmn(rho, tol=tol)
 
     monkeypatch.setattr(sgadmem.witness, "gmn", counted)
-    result = threshold_scan("ghz1", "alpha", (0.3, 0.6), resolution=1e-20)
+    result = threshold_scan(noisy_ghz1, (0.3, 0.6), resolution=1e-20)
     lo, hi = result.bracket
     assert result.found
     assert np.nextafter(lo, hi) == hi
@@ -518,5 +510,5 @@ def test_threshold_scan_finer_than_float_spacing_ends(monkeypatch):
 def test_threshold_scan_undecided_probe():
     # the first probe has E = (7 * 0.5 - 3)/4 = 0.125 exactly, so its bracket
     # straddles eps
-    result = threshold_scan("ghz1", "alpha", (0.5, 0.7), eps=0.125)
+    result = threshold_scan(noisy_ghz1, (0.5, 0.7), eps=0.125)
     assert result.status == "undecided"
