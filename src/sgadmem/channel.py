@@ -316,11 +316,9 @@ def integrate_master(rho, lspec, t_final, dt):
     lockstep. The step size must satisfy 0 < dt <= 0.01 / (Omega (2n+1)); the
     actual step is h = t_final / ceil(t_final / dt) so the endpoint is exact.
     The equation is linear, so the steps are applied at once as the RK4 step
-    matrix T4(hL) raised to their number.
+    matrix T4(hL) raised to their number, a superoperator that _apply
+    checks like every other map.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (8, 8):
-        raise ValueError(f"expected (..., 8, 8) states, got {rho.shape}")
     if not 0 <= t_final < math.inf:
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
     p = lspec.params
@@ -331,14 +329,7 @@ def integrate_master(rho, lspec, t_final, dt):
     hl = (t_final / steps) * lspec._liouvillian
     eye = np.eye(64)
     step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4) / 3) / 2)  # T4(hL), Horner form
-    prop = np.linalg.matrix_power(step, steps)
-    out = (rho.reshape(*rho.shape[:-2], 64) @ prop.T).reshape(rho.shape)
-    tr_in = np.trace(rho, axis1=-2, axis2=-1)
-    tr_out = np.trace(out, axis1=-2, axis2=-1)
-    drift = np.abs(tr_out - tr_in).max()
-    if drift > 1e-6:
-        raise RuntimeError(f"integration lost trace: drift {drift:.3e}")
-    return out
+    return _apply(np.linalg.matrix_power(step, steps), rho)
 
 
 def choi_matrix(p, t, mode, mu=0.0):

@@ -30,10 +30,11 @@ and a state that is PPT across one cut, a PPT mixture with E = 0
 interior-point iteration; see _bracket.
 
 Also here: bipartite negativity, the antidiagonal coherence-vs-populations
-inequality for X-shaped states, its closed-form asymptotic-state
-specialization, and a bisection for the gmn threshold along a line of
-states. This module builds no state: the scan takes its states from the
-caller, so nothing here depends on the channel module.
+inequality for X-shaped states (xstate_criterion, one CriterionReport per
+antidiagonal pair), its closed form on the t -> inf GHZ1 state, reported
+the same way as pair (1, 8), and a bisection for the gmn threshold along
+a line of states. This module builds no state: the scan takes its states
+from the caller, so nothing here depends on the channel module.
 """
 
 import math
@@ -369,55 +370,50 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
 
 @dataclass
 class CriterionReport:
+    """One antidiagonal pair's test: every biseparable state has
+    lhs <= rhs, and violated means margin = lhs - rhs > MARGIN_TOL."""
     lhs: float
     rhs: float
     margin: float
     violated: bool
 
 
-def xstate_criterion(rho, antidiag_pair):
-    """Antidiagonal-coherence test for X-shaped states.
+def xstate_criterion(rho):
+    """Antidiagonal-coherence test for X-shaped states, on every pair.
 
-    For the 1-based antidiagonal pair (i, j), compares |rho_ij| against the
-    sum over the other three antidiagonal pairs (k, l) of
-    sqrt(rho_kk rho_ll). Every biseparable state satisfies this inequality
-    (Gühne & Seevinck, NJP 12, 053002 (2010)), so for every state a
-    violation (margin > 1e-12) implies genuine multipartite entanglement.
-    Satisfying it is necessary for biseparability, not sufficient in
-    general; on GHZ-diagonal states it is sufficient too. The report holds
-    lhs, rhs, margin = lhs - rhs and violated, not the pair it was asked for.
+    For each 1-based antidiagonal pair (i, j) of XSTATE_PAIRS, in order,
+    compares lhs = |rho_ij| against rhs, the sum over the other three pairs
+    (k, l) of sqrt(rho_kk rho_ll). Every biseparable state satisfies
+    lhs <= rhs on every pair (Gühne & Seevinck, NJP 12, 053002 (2010)), so
+    for every state a violation (margin = lhs - rhs > MARGIN_TOL) on any
+    pair implies genuine multipartite entanglement. Satisfying all four is
+    necessary for biseparability, not sufficient in general; on
+    GHZ-diagonal states it is sufficient too. rho is validated once, and
+    the four reports are read off the validated copy.
     """
     rho = validate(rho)
-    pair = (int(antidiag_pair[0]), int(antidiag_pair[1]))
-    if pair not in XSTATE_PAIRS:
-        raise ValueError(f"antidiagonal pair must be one of {XSTATE_PAIRS}, got {pair}")
-    lhs, rhs = _xstate_sides(rho)[XSTATE_PAIRS.index(pair)]
+    pops = [math.sqrt(max(rho[k - 1, k - 1].real, 0.0) * max(rho[l - 1, l - 1].real, 0.0))
+            for k, l in XSTATE_PAIRS]
+    return [_criterion(abs(rho[k - 1, l - 1]), sum(p for j, p in enumerate(pops) if j != i))
+            for i, (k, l) in enumerate(XSTATE_PAIRS)]
+
+
+def _criterion(lhs, rhs):
     margin = lhs - rhs
     return CriterionReport(lhs=lhs, rhs=rhs, margin=margin, violated=bool(margin > MARGIN_TOL))
 
 
-def _xstate_sides(rho):
-    """(lhs, rhs) of xstate_criterion for each pair of XSTATE_PAIRS, in
-    order, on a state that validate has already returned."""
-    pops = [math.sqrt(max(rho[k - 1, k - 1].real, 0.0) * max(rho[l - 1, l - 1].real, 0.0))
-            for k, l in XSTATE_PAIRS]
-    return [(abs(rho[k - 1, l - 1]), sum(p for j, p in enumerate(pops) if j != i))
-            for i, (k, l) in enumerate(XSTATE_PAIRS)]
-
-
 def asymptotic_ghz1_criterion(alpha, n, mu):
-    """Closed-form biseparability test for the t -> inf state of a
-    GHZ-plus-white-noise mixture under the memory channel.
+    """xstate_criterion's pair (1, 8) in closed form, for the t -> inf state
+    of a GHZ-plus-white-noise mixture under the memory channel: lhs is the
+    surviving coherence and rhs the populations' bound,
 
-    Evaluates both sides of
-
-        3 sqrt(u v) >= (n(1+n))^{3/2} alpha (1-mu) / (1+2n)^3,
+        lhs = (n(1+n))^{3/2} alpha (1-mu) / (1+2n)^3,    rhs = 3 sqrt(u v),
         u = n^2(1+n)(1-mu)/(1+2n)^3 + mu(1-alpha)/8,
-        v = n(1+n)^2(1-mu)/(1+2n)^3 + mu(1-alpha)/8.
+        v = n(1+n)^2(1-mu)/(1+2n)^3 + mu(1-alpha)/8,
 
-    satisfied=True means the inequality holds and the asymptotic state is
-    not detected; False is the closed-form counterpart of an xstate_criterion
-    violation on pair (1, 8).
+    with margin = lhs - rhs, and violated (the asymptotic state is detected)
+    when margin > MARGIN_TOL.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -428,9 +424,7 @@ def asymptotic_ghz1_criterion(alpha, n, mu):
     den = (1.0 + 2.0 * n) ** 3
     u = n * n * (1.0 + n) * (1.0 - mu) / den + mu * (1.0 - alpha) / 8.0
     v = n * (1.0 + n) ** 2 * (1.0 - mu) / den + mu * (1.0 - alpha) / 8.0
-    lhs = 3.0 * math.sqrt(u * v)
-    rhs = (n * (1.0 + n)) ** 1.5 * alpha * (1.0 - mu) / den
-    return {"satisfied": bool(lhs >= rhs), "lhs": lhs, "rhs": rhs}
+    return _criterion((n * (1.0 + n)) ** 1.5 * alpha * (1.0 - mu) / den, 3.0 * math.sqrt(u * v))
 
 
 # -- threshold location --------------------------------------------------

@@ -247,8 +247,8 @@ def test_c10_corner_criterion_matches_pipeline():
             for mu in np.linspace(0.0, 1.0, 10):
                 closed = asymptotic_ghz1_criterion(float(alpha), float(n), float(mu))
                 rho = asymptotic_state(rho0, params, float(mu))
-                report = xstate_criterion(rho, (1, 8))
-                if (not closed["satisfied"]) != report.violated:
+                report = xstate_criterion(rho)[0]  # the pair (1, 8)
+                if closed.violated != report.violated:
                     mismatches.append((float(alpha), float(n), float(mu)))
     assert not mismatches, f"{len(mismatches)} verdict mismatches: {mismatches[:5]}"
 
@@ -256,7 +256,7 @@ def test_c10_corner_criterion_matches_pipeline():
     # so no memory weight in [0, 1] can produce a violation
     for alpha in (0.6, 0.8, 1.0):
         assert (3.0 - alpha) / (2.0 * alpha) >= 1.0
-        verdicts = [asymptotic_ghz1_criterion(alpha, 1e6, float(mu))["satisfied"]
+        verdicts = [not asymptotic_ghz1_criterion(alpha, 1e6, float(mu)).violated
                     for mu in np.linspace(0.0, 1.0, 101)]
         assert all(verdicts), f"alpha={alpha}: unexpected large-n violation"
 

@@ -23,6 +23,18 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} never uses {unused}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_another_module(path):
+    # a module's underscored names are its own: another module that needs
+    # one needs a public function instead
+    private = sorted(f"{node.module or '.'}.{alias.name}"
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.level > 0 or (node.module or "").split(".")[0] == SRC.name)
+                     for alias in node.names if alias.name.startswith("_"))
+    assert not private, f"{path.name} imports the private names {private}"
+
+
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 PACKAGE_PROBE = f"""

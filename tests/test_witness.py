@@ -323,25 +323,27 @@ def test_gmn_status_propagation():
 # -- X-state criterion --------------------------------------------------------
 
 def test_xstate_examples():
-    rep = xstate_criterion(make_noisy("ghz1", alpha=0.5), (1, 8))
+    # the reports come in XSTATE_PAIRS order, so [0] is the pair (1, 8)
+    assert XSTATE_PAIRS[0] == (1, 8)
+    rep = xstate_criterion(make_noisy("ghz1", alpha=0.5))[0]
     assert abs(rep.lhs - 0.25) < 1e-14
     assert abs(rep.rhs - 0.1875) < 1e-14
     assert rep.violated
-    rep = xstate_criterion(make_noisy("ghz1", alpha=3.0 / 7.0), (1, 8))
+    rep = xstate_criterion(make_noisy("ghz1", alpha=3.0 / 7.0))[0]
     assert abs(rep.margin) < 1e-15
     assert not rep.violated
-    rep = xstate_criterion(np.eye(8) / 8, (1, 8))
+    rep = xstate_criterion(np.eye(8) / 8)[0]
     assert rep.lhs == 0.0 and not rep.violated
 
 
 def test_xstate_other_pairs():
-    rep = xstate_criterion(make_noisy("ghz2", alpha=0.5), (2, 7))
+    reports = xstate_criterion(make_noisy("ghz2", alpha=0.5))
+    assert len(reports) == len(XSTATE_PAIRS)
+    rep = reports[XSTATE_PAIRS.index((2, 7))]
     assert abs(rep.lhs - 0.25) < 1e-14 and rep.violated
     # wrong coherence for the family: nothing at (1,8)
-    rep = xstate_criterion(make_noisy("ghz2", alpha=0.5), (1, 8))
+    rep = reports[XSTATE_PAIRS.index((1, 8))]
     assert not rep.violated
-    with pytest.raises(ValueError):
-        xstate_criterion(np.eye(8) / 8, (1, 7))
 
 
 def test_xstate_violation_implies_gmn_positive():
@@ -350,7 +352,7 @@ def test_xstate_violation_implies_gmn_positive():
     states = []
     for k in range(200):
         rho = random_x_state(rng, spiky=(k % 2 == 0))
-        margin = max(xstate_criterion(rho, p).margin for p in XSTATE_PAIRS)
+        margin = max(r.margin for r in xstate_criterion(rho))
         margins.append(margin)
         states.append(rho)
     violated = [(m, r) for m, r in zip(margins, states) if m > 1e-4]
@@ -364,7 +366,7 @@ def test_ghz_diagonal_criterion_iff_gmn():
     checked = 0
     while checked < 8:
         rho = ghz_diagonal_state(rng)
-        margin = max(xstate_criterion(rho, p).margin for p in XSTATE_PAIRS)
+        margin = max(r.margin for r in xstate_criterion(rho))
         if abs(margin) <= 1e-5:
             continue  # boundary band excluded
         value = gmn(rho).value
@@ -426,16 +428,18 @@ def test_gmn_local_unitary_invariance():
 # -- closed-form asymptotic criterion --------------------------------------------
 
 def test_asymptotic_criterion_frozen_example():
+    # oriented like the pair (1, 8): lhs is the coherence, rhs 3 sqrt(u v)
     out = asymptotic_ghz1_criterion(1.0, 1.0, 0.5)
-    assert out["satisfied"]
-    assert abs(out["lhs"] - 0.15713) < 5e-6
-    assert abs(out["rhs"] - 0.05238) < 5e-6
-    assert abs(out["lhs"] - 3.0 * math.sqrt(2.0) / 27.0) < 1e-12
+    assert not out.violated
+    assert abs(out.rhs - 0.15713) < 5e-6
+    assert abs(out.lhs - 0.05238) < 5e-6
+    assert abs(out.rhs - 3.0 * math.sqrt(2.0) / 27.0) < 1e-12
+    assert out.margin == out.lhs - out.rhs
 
 
 def test_asymptotic_criterion_large_n():
     out = asymptotic_ghz1_criterion(1.0, 1e6, 0.9)
-    assert out["satisfied"]
+    assert not out.violated
 
 
 def test_asymptotic_criterion_domain():
@@ -452,8 +456,24 @@ def test_asymptotic_criterion_matches_pipeline_spots():
         closed = asymptotic_ghz1_criterion(alpha, n, mu)
         rho0 = make_pure("ghz1") if alpha == 1.0 else make_noisy("ghz1", alpha=alpha)
         rho = asymptotic_state(rho0, SgadParams(1.0, n, 0.0), mu)
-        pipe = xstate_criterion(rho, (1, 8))
-        assert (not closed["satisfied"]) == pipe.violated
+        pipe = xstate_criterion(rho)[0]
+        assert closed.violated == pipe.violated
+
+
+def test_asymptotic_criterion_sides_match_pipeline():
+    # on the grid of acceptance test c10, each side of the closed form is
+    # the pipeline's pair (1, 8), not only its verdict
+    worst = 0.0
+    for alpha in np.linspace(0.0, 1.0, 10):
+        rho0 = make_pure("ghz1") if alpha == 1.0 else make_noisy("ghz1", alpha=float(alpha))
+        for n in np.geomspace(0.05, 5.0, 10):
+            params = SgadParams(1.0, float(n), 0.0)
+            for mu in np.linspace(0.0, 1.0, 10):
+                closed = asymptotic_ghz1_criterion(float(alpha), float(n), float(mu))
+                pipe = xstate_criterion(asymptotic_state(rho0, params, float(mu)))[0]
+                worst = max(worst, abs(closed.lhs - pipe.lhs), abs(closed.rhs - pipe.rhs),
+                            abs(closed.margin - pipe.margin))
+    assert worst <= 1e-14, f"closed form and pipeline sides differ by {worst:.3e}"
 
 
 # -- threshold scans ----------------------------------------------------------
