@@ -75,6 +75,8 @@ class SgadParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.n < 0 or self.m < 0:
             raise ValueError(f"n and m must be nonnegative, got n={self.n}, m={self.m}")
+        if not math.isfinite(2 * self.n + 1):  # every rate and map reads 2n + 1
+            raise ValueError(f"n={self.n} is too large: 2n + 1 overflows")
         if self.m * self.m > self.n * (self.n + 1) + RADICAND_TOL:
             raise ValueError(
                 f"m^2 <= n(n+1) violated: m^2={self.m**2:.6g} > {self.n*(self.n+1):.6g}"
@@ -187,7 +189,9 @@ def _mixture(mu, correlated, uncorrelated):
         return correlated()
     if mu == 0.0:
         return uncorrelated()
-    return mu * correlated() + (1 - mu) * uncorrelated()
+    out = mu * correlated()
+    out += (1 - mu) * uncorrelated()
+    return out
 
 
 def _memory_superop(p, t, mu, kraus):

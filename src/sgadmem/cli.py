@@ -8,13 +8,18 @@ Subcommands:
   gmn         genuine negativity of one state (family or JSON file)
   scan        bisection for a gmn > 0 threshold
 
+main parses a named subcommand with that subcommand's own parser, so an
+argv is parsed once; what the subcommand does not read is the root
+parser's usage error.
+
 An asymptotic sweep computes every row's state in the parent, from each
 n's two t -> inf maps, which are built once per process; workers only
-measure the states. Sweep output is deterministic: tasks are enumerated
-in grid order, results are collected by index regardless of worker
-scheduling, and floats are rendered with a fixed 12-significant-digit
-format, so identical configs produce byte-identical files at any
---workers value.
+measure the states. A row validates its state once: one gmn call gives
+the negativities, and its report carries the four X-state margins.
+Sweep output is deterministic: tasks are enumerated in grid order,
+results are collected by index regardless of worker scheduling, and
+floats are rendered with a fixed 12-significant-digit format, so
+identical configs produce byte-identical files at any --workers value.
 
 A scan bisects a line of states that _run_scan builds, a family mixture
 along its weight or its t -> inf state along the weight or mu, after
@@ -27,7 +32,6 @@ threshold; rows are still written).
 """
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import math
@@ -50,7 +54,7 @@ from .channel import (
 from .linalg import hermitian_eigenvalues
 from .states import (FAMILIES, StateValidationError, load_state, make_noisy, save_state,
                      validate)
-from .witness import gmn, threshold_scan, xstate_criterion
+from .witness import gmn, threshold_scan
 
 SWEEP_COLUMNS = ("family", "param", "n", "mu", "gmn", "neg_A_BC", "neg_B_AC",
                  "neg_C_AB", "xstate_margin", "status")
@@ -149,12 +153,11 @@ def _state_from_args(args):
 
 def _measure_row(rho, tol):
     """gmn + negativities + worst antidiagonal margin for one state: the
-    largest margin of xstate_criterion's four pairs."""
+    largest margin of the four X-state pairs that gmn's report carries."""
     report = gmn(rho, tol=tol)
-    margin = max(r.margin for r in xstate_criterion(rho))
     negs = report.negativities
-    return (report.value, negs["A|BC"], negs["B|AC"], negs["C|AB"], margin,
-            report.status)
+    return (report.value, negs["A|BC"], negs["B|AC"], negs["C|AB"],
+            max(r.margin for r in report.xstate), report.status)
 
 
 # -- validate ------------------------------------------------------------
@@ -268,10 +271,13 @@ def _run_asymptotic(args):
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     weight, values = _weights(args, args.family)
-    weights = values or [1.0 if weight == "alpha" else 0.0]  # the pure state
     # a bad weight, --n or mu is an input error (exit 2), not a sweep of error
     # rows: every row's state is computed here, before any row is measured
-    states = np.array([make_noisy(args.family, **{weight: w}) for w in weights])
+    if values:
+        states = np.array([make_noisy(args.family, **{weight: w}) for w in values])
+    else:  # the pure state, printed with the weight that gives it
+        states = make_noisy(args.family)[None]
+    weights = values or [1.0 if weight == "alpha" else 0.0]
     params = [SgadParams(1.0, n, 0.0) for n in args.n]
     mus = args.mu if args.mu is not None else _grid(args.grid or "0:1:0.01")
     # n is the outer loop, so each n's maps are built once however many the
@@ -283,6 +289,8 @@ def _run_asymptotic(args):
     # a fork-started pool forks every worker on the first submit
     workers = min(args.workers, len(keys))
     if workers > 1:
+        import concurrent.futures  # here, so that an in-line sweep does not pay its import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             measured = list(pool.map(measure, rhos, chunksize=8))
     else:
@@ -415,11 +423,25 @@ def build_parser():
     s.add_argument("--asymptotic", action="store_true",
                    help="probe t -> inf states instead of initial mixtures")
     s.set_defaults(n=None)  # so that a --n without --asymptotic is seen
+    p.subcommands = sub.choices  # name -> subparser, for main
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one subcommand. A named subcommand is parsed by its own parser,
+    as the root parser would after a pass of its own; arguments it does not
+    read get the root parser's usage error. Any other argv goes through the
+    root parser."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         for flag in FLOAT_LISTS:
             dest = flag[2:].replace("-", "_")

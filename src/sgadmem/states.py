@@ -29,15 +29,26 @@ class StateValidationError(ValueError):
         super().__init__("; ".join(violations))
 
 
-def make_pure(family):
-    """Projector onto the named pure state (ghz1..ghz4, w, wtilde)."""
-    key = family.lower()
-    if key not in _PURE_SUPPORT:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+def _projector(support):
     v = np.zeros(8, dtype=complex)
-    idx = _PURE_SUPPORT[key]
-    v[list(idx)] = 1.0 / np.sqrt(len(idx))
-    return np.outer(v, v.conj())
+    v[list(support)] = 1.0 / np.sqrt(len(support))
+    p = np.outer(v, v.conj())
+    p.flags.writeable = False  # make_pure hands out copies
+    return p
+
+
+_PURE = {key: _projector(support) for key, support in _PURE_SUPPORT.items()}
+_WHITE = np.eye(8, dtype=complex) / 8
+_WHITE.flags.writeable = False
+
+
+def make_pure(family):
+    """Projector onto the named pure state (ghz1..ghz4, w, wtilde), as a
+    fresh array."""
+    key = family.lower()
+    if key not in _PURE:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    return _PURE[key].copy()
 
 
 def make_noisy(family, *, alpha=None, beta=None):
@@ -51,7 +62,6 @@ def make_noisy(family, *, alpha=None, beta=None):
     """
     key = family.lower()
     pure = make_pure(key)
-    eye8 = np.eye(8, dtype=complex) / 8
     if key.startswith("ghz"):
         if beta is not None:
             raise ValueError("GHZ families take alpha, not beta")
@@ -59,14 +69,14 @@ def make_noisy(family, *, alpha=None, beta=None):
             return pure
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        return alpha * pure + (1 - alpha) * eye8
+        return alpha * pure + (1 - alpha) * _WHITE
     if alpha is not None:
         raise ValueError("W families take beta, not alpha")
     if beta is None:
         return pure
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return (1 - beta) * pure + beta * eye8
+    return (1 - beta) * pure + beta * _WHITE
 
 
 def validate(rho):

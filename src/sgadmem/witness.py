@@ -273,7 +273,8 @@ class GmnReport:
     program, and satisfies tr(witness . rho) = -value/2 whenever the state is
     detected. lower <= E <= upper is the certified bracket (see _bracket).
     Results with status other than "optimal" should not be trusted; their
-    bracket still holds.
+    bracket still holds. xstate is xstate_criterion's list of four
+    CriterionReports, read off the same validated copy of the state.
     """
     value: float
     witness: np.ndarray
@@ -283,6 +284,7 @@ class GmnReport:
     iterations: int
     lower: float
     upper: float
+    xstate: list
 
 
 def _bracket(problem, sol, y0, rho, ppt_upper):
@@ -331,26 +333,35 @@ def _bracket(problem, sol, y0, rho, ppt_upper):
     return lower, upper
 
 
+# rho.reshape(64)[_PT_INDEX] is the (3, 8, 8) stack of rho's partial
+# transposes, one per cut of BIPARTITIONS
+_PT_INDEX = np.array([partial_transpose(np.arange(64).reshape(8, 8), cut) for cut in BIPARTITIONS])
+
+
 def gmn(rho, *, tol=1e-8, max_iter=100):
     """Genuine negativity of a three-qubit state via the witness SDP.
 
-    The spectra of the three partial transposes give the negativities and
-    the PPT bracket of _bracket; when it is narrow enough, the answer is
-    value 0.0 with the zero matrix as witness, status "optimal" and 0
-    iterations. Every other state is solved by the interior-point method
-    and then bracketed by _bracket. tol must be finite and positive.
+    rho is validated once. The spectra of its three partial transposes,
+    taken in one gather and one eigensolve, give the negativities and the
+    PPT bracket of _bracket; when it is narrow enough, the answer is value
+    0.0 with the zero matrix as witness, status "optimal" and 0 iterations.
+    Every other state is solved by the interior-point method and then
+    bracketed by _bracket. The report also carries xstate_criterion's four
+    reports on the validated copy. tol must be finite and positive.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     rho = validate(rho)
-    spectra = np.linalg.eigvalsh(np.array([partial_transpose(rho, cut) for cut in BIPARTITIONS]))
-    negativities = {cut.label: max(0.0, float(np.abs(s).sum()) - 1.0)
-                    for cut, s in zip(BIPARTITIONS, spectra)}
+    xstate = _xstate_reports(rho)
+    spectra = np.linalg.eigvalsh(rho.reshape(64)[_PT_INDEX])
+    negativities = {cut.label: max(0.0, float(total) - 1.0)
+                    for cut, total in zip(BIPARTITIONS, np.abs(spectra).sum(axis=1))}
     eps_ppt = max(0.0, -float(spectra[:, 0].max()))
     if eps_ppt <= tol / 16.0:
         return GmnReport(value=0.0, witness=np.zeros((8, 8), dtype=complex),
                          negativities=negativities, status="optimal",
-                         gap=8.0 * eps_ppt, iterations=0, lower=0.0, upper=16.0 * eps_ppt)
+                         gap=8.0 * eps_ppt, iterations=0, lower=0.0, upper=16.0 * eps_ppt,
+                         xstate=xstate)
     problem, start = _witness_program(rho)
     sol = solve(problem, tol=tol, max_iter=max_iter, start=start)
     lower, upper = _bracket(problem, sol, start[1], rho, 16.0 * eps_ppt)
@@ -363,6 +374,7 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
         iterations=sol.iterations,
         lower=lower,
         upper=upper,
+        xstate=xstate,
     )
 
 
@@ -389,13 +401,22 @@ def xstate_criterion(rho):
     pair implies genuine multipartite entanglement. Satisfying all four is
     necessary for biseparability, not sufficient in general; on
     GHZ-diagonal states it is sufficient too. rho is validated once, and
-    the four reports are read off the validated copy.
+    the four reports are read off the validated copy; gmn's report carries
+    the same four.
     """
-    rho = validate(rho)
-    pops = [math.sqrt(max(rho[k - 1, k - 1].real, 0.0) * max(rho[l - 1, l - 1].real, 0.0))
-            for k, l in XSTATE_PAIRS]
-    return [_criterion(abs(rho[k - 1, l - 1]), sum(p for j, p in enumerate(pops) if j != i))
-            for i, (k, l) in enumerate(XSTATE_PAIRS)]
+    return _xstate_reports(validate(rho))
+
+
+_ANTI = tuple(np.array(XSTATE_PAIRS).T - 1)  # 0-based rows and columns of the coherences
+
+
+def _xstate_reports(rho):
+    """xstate_criterion's four reports on a validated rho, which is read
+    once: its diagonal and its four coherences, as Python floats."""
+    diag = [max(d, 0.0) for d in rho.diagonal().real.tolist()]
+    pops = [math.sqrt(diag[k - 1] * diag[l - 1]) for k, l in XSTATE_PAIRS]
+    return [_criterion(lhs, sum(pops[:i] + pops[i + 1:]))
+            for i, lhs in enumerate(map(abs, rho[_ANTI].tolist()))]
 
 
 def _criterion(lhs, rhs):

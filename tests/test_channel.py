@@ -108,6 +108,9 @@ def test_params_validation():
                 SgadParams(*args)
     p = SgadParams(1.0, 1.0, math.sqrt(2.0) * 0.999)
     assert p.m < math.sqrt(2.0)
+    with pytest.raises(ValueError, match=r"n=1e\+308 is too large: 2n \+ 1 overflows"):
+        SgadParams(1.0, 1e308, 0.0)
+    assert SgadParams(1.0, 8.98e307, 0.0).n == 8.98e307  # 2n + 1 still finite
 
 
 # -- single-qubit Kraus set -------------------------------------------------

@@ -70,6 +70,15 @@ def test_make_noisy_parameter_checks():
         make_pure("ghz5")
 
 
+def test_make_pure_returns_a_fresh_array():
+    for fam in FAMILIES:
+        first = make_pure(fam)
+        expect = first.copy()
+        assert first.flags.writeable
+        first[:] = 5.0
+        assert np.array_equal(make_pure(fam), expect)
+
+
 def test_make_noisy_without_its_weight_is_the_pure_state():
     for fam in FAMILIES:
         assert np.array_equal(make_noisy(fam), make_pure(fam))

@@ -15,6 +15,7 @@ from sgadmem.linalg import BIPARTITIONS, CUT_A, hermitian_eigenvalues, partial_t
 from sgadmem.sdp import solve
 from sgadmem.states import make_noisy, make_pure, validate
 from sgadmem.witness import (
+    _PT_INDEX,
     GMN_EPS,
     XSTATE_PAIRS,
     _bracket,
@@ -274,6 +275,26 @@ def test_ppt_short_circuit_agrees_with_full_solve():
         sol = solve(problem, start=start)
         assert sol.status == "optimal"
         assert max(0.0, 2.0 * sol.dual_obj) <= 1e-8
+
+
+def test_gathered_partial_transposes_match_partial_transpose():
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        rho = random_qubit_state(rng, 8)
+        expect = np.array([partial_transpose(rho, cut) for cut in BIPARTITIONS])
+        assert rho.reshape(64)[_PT_INDEX].tobytes() == expect.tobytes()
+
+
+def test_gmn_xstate_reports_match_xstate_criterion():
+    rng = np.random.default_rng(22)
+    shortcut = [asymptotic_state(make_pure("ghz1"), SgadParams(1.0, 1.0, 0.0), mu)
+                for mu in (0.0, 0.3, 1.0)]
+    # the last is a random complex state, not X-shaped
+    solved = [make_pure("ghz1"), make_noisy("ghz2", alpha=0.6), random_qubit_state(rng, 8)]
+    for rho, solves in [(rho, False) for rho in shortcut] + [(rho, True) for rho in solved]:
+        report = gmn(rho)
+        assert (report.iterations > 0) == solves
+        assert report.xstate == xstate_criterion(rho)
 
 
 def test_npt_state_runs_the_solver():
