@@ -14,7 +14,10 @@ builds the Liouvillian L once; on this linear equation one RK4 step is the
 matrix T4(hL) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so k steps are T4^k.
 
 Time enters only through the dimensionless products Omega*t and m*Omega*t;
-``t = math.inf`` is the asymptotic marker and takes the same code path.
+``t = math.inf`` is the asymptotic marker and takes the same code path:
+asymptotic_state is apply_memory at t = inf. The two three-qubit maps are
+built by cached builders, each a read-only array kept for the last 16
+(p, t), so a sweep at one bath builds its two maps once.
 
 The operator set and the master-equation integrator agree on populations
 only. The README gives the account (test c04) and the domain where the
@@ -147,8 +150,10 @@ def _single_superop(ops):
     return np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape(4, 4)
 
 
+@functools.lru_cache(maxsize=16)
 def _correlated_superop(p, t):
-    """64x64 superoperator of the collective closed form (see apply_correlated)."""
+    """64x64 superoperator of the collective closed form (see apply_correlated),
+    read-only and built once for each of the last 16 (p, t)."""
     if not t >= 0:  # NaN fails this too; t = inf is the asymptote
         raise ValueError(f"t must be nonnegative, got {t}")
     n, m = p.n, p.m
@@ -170,13 +175,25 @@ def _correlated_superop(p, t):
     s[np.ix_((7, 56), (7, 56))] = 0.5 * np.array(
         [[epm + emm, epm - emm],
          [epm - emm, epm + emm]])
+    s.flags.writeable = False  # shared by every caller through the cache
     return s
 
 
-def _uncorrelated_superop(ops):
-    """64x64 superoperator of apply_uncorrelated: _single_superop on each qubit."""
+def _product_superop(ops):
+    """64x64 superoperator of the operator set ops on each qubit:
+    _single_superop tensored three times."""
     s = _single_superop(ops).reshape(2, 2, 2, 2)  # (row out, col out, row in, col in)
     return np.einsum("adgj,behk,cfil->abcdefghijkl", s, s, s).reshape(64, 64)
+
+
+@functools.lru_cache(maxsize=16)
+def _uncorrelated_superop(p, t):
+    """64x64 superoperator of apply_uncorrelated, read-only and built once for
+    each of the last 16 (p, t); kraus_single raises outside its domain, and a
+    raised call is not cached."""
+    s = _product_superop(kraus_single(p, t))
+    s.flags.writeable = False  # shared by every caller through the cache
+    return s
 
 
 def _mixture(mu, correlated, uncorrelated):
@@ -192,12 +209,6 @@ def _mixture(mu, correlated, uncorrelated):
     out = mu * correlated()
     out += (1 - mu) * uncorrelated()
     return out
-
-
-def _memory_superop(p, t, mu, kraus):
-    """64x64 superoperator of apply_memory, with the operator set kraus(p, t)."""
-    return _mixture(mu, lambda: _correlated_superop(p, t),
-                    lambda: _uncorrelated_superop(kraus(p, t)))
 
 
 def _apply(s, rho):
@@ -222,7 +233,7 @@ def apply_uncorrelated(rho, p, t):
     the same linear map; a test materializes all 64 products once to pin the
     equivalence.
     """
-    return _apply(_uncorrelated_superop(kraus_single(p, t)), rho)
+    return _apply(_uncorrelated_superop(p, t), rho)
 
 
 def apply_correlated(rho, p, t):
@@ -248,23 +259,13 @@ def apply_memory(rho, p, t, mu):
     where the four-operator set of the unused uncorrelated branch would be
     outside its validity domain.
     """
-    return _apply(_memory_superop(p, t, mu, kraus_single), rho)
-
-
-@functools.lru_cache(maxsize=16)
-def _asymptotic_maps(p):
-    """The correlated and uncorrelated t -> inf maps of p, as read-only
-    64x64 arrays, built once per process for each of the last 16 baths."""
-    maps = (_correlated_superop(p, math.inf), _uncorrelated_superop(kraus_single(p, math.inf)))
-    for s in maps:
-        s.flags.writeable = False
-    return maps
+    return _apply(_mixture(mu, lambda: _correlated_superop(p, t),
+                           lambda: _uncorrelated_superop(p, t)), rho)
 
 
 def asymptotic_state(rho, p, mu):
     """t -> infinity limit of the memory channel on an 8x8 matrix or
-    (..., 8, 8) stack: ``apply_memory`` at t = inf bit for bit, from the two
-    maps that _asymptotic_maps holds for p.
+    (..., 8, 8) stack: ``apply_memory`` at t = inf.
 
     Both branches lose all m dependence in the limit. The uncorrelated limit
     is the per-qubit damping by the two surviving operators diag(a, b) and
@@ -274,8 +275,7 @@ def asymptotic_state(rho, p, mu):
     empties the borders and the rho_18 coherence and thermalizes the corner
     populations while leaving the inner block alone.
     """
-    correlated, uncorrelated = _asymptotic_maps(p)
-    return _apply(_mixture(mu, lambda: correlated, lambda: uncorrelated), rho)
+    return apply_memory(rho, p, math.inf, mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +352,7 @@ def choi_matrix(p, t, mode, mu=0.0):
     """
     clamped = []
 
-    def kraus(p, t):  # the operator set, clamped where it does not exist
+    def kraus():  # the operator set, clamped where it does not exist
         try:
             return kraus_single(p, t)
         except CpViolationError as exc:
@@ -360,11 +360,12 @@ def choi_matrix(p, t, mode, mu=0.0):
             return _kraus_from(exc.radicands)
 
     if mode == "uncorrelated-single":
-        s, dim = _single_superop(kraus(p, t)), 2
+        s, dim = _single_superop(kraus()), 2
     elif mode == "correlated-3q":
         s, dim = _correlated_superop(p, t), 8
     elif mode == "memory-3q":
-        s, dim = _memory_superop(p, t, mu, kraus), 8
+        s, dim = _mixture(mu, lambda: _correlated_superop(p, t),
+                          lambda: _product_superop(kraus())), 8
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for exc in clamped:  # warned here, so that the warning names the caller

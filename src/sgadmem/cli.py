@@ -12,8 +12,9 @@ main parses a named subcommand with that subcommand's own parser, so an
 argv is parsed once; what the subcommand does not read is the root
 parser's usage error.
 
-An asymptotic sweep computes every row's state in the parent, from each
-n's two t -> inf maps, which are built once per process; workers only
+An asymptotic sweep computes every row's state in the parent, as
+apply_memory at t = inf; with n the outer loop, each n's two maps are
+built once by the channel module's cached builders, and workers only
 measure the states. A row validates its state once: one gmn call gives
 the negativities, and its report carries the four X-state margins.
 Sweep output is deterministic: tasks are enumerated in grid order,

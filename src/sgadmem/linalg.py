@@ -23,10 +23,6 @@ class Bipartition:
     label: str
     qubit: int
 
-    def __post_init__(self):
-        if self.qubit not in (0, 1, 2):
-            raise ValueError(f"qubit must be one qubit position 0, 1 or 2, got {self.qubit!r}")
-
 
 CUT_A = Bipartition("A|BC", 0)
 CUT_B = Bipartition("B|AC", 1)

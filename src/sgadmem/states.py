@@ -94,13 +94,14 @@ def validate(rho):
     if not np.isfinite(rho).all():
         entries = ", ".join(str((int(i), int(j))) for i, j in np.argwhere(~np.isfinite(rho)))
         raise StateValidationError([f"non-finite entries at {entries}"])
-    herm_dev = np.abs(rho - rho.conj().T).max()
+    adj = rho.conj().T
+    herm_dev = np.abs(rho - adj).max()
     if herm_dev > HERM_TOL:
         violations.append(f"not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
     tr_dev = abs(np.trace(rho) - 1.0)
     if tr_dev > HERM_TOL:
         violations.append(f"trace differs from 1 by {tr_dev:.3e}")
-    sym = 0.5 * (rho + rho.conj().T)
+    sym = 0.5 * (rho + adj)
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     if min_eig < -PSD_TOL:
         violations.append(f"not positive semidefinite: min eigenvalue = {min_eig:.3e}")

@@ -39,7 +39,6 @@ from the caller, so nothing here depends on the channel module.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,42 +64,37 @@ _POPCOUNT = np.array([0, 1, 1, 2, 1, 2, 2, 3])  # set bits of 0..7
 _WALSH = 1.0 - 2.0 * (_POPCOUNT[np.arange(8)[:, None] & np.arange(8)] % 2)  # (-1)^{z.b}
 
 
-@lru_cache(maxsize=1)
-def _pauli():
-    """The Pauli basis H_k of _WitnessProgram as T, the 64x64 unitary whose
-    column k is the row-major vec(H_k), and the partial transposes as the
-    signs s (3, 64) with H_k^{T_M} = s[M, k] H_k."""
-    k = np.arange(64)
-    x, z, b = k // 8, k % 8, np.arange(8)
-    H = np.zeros((64, 8, 8), dtype=complex)
-    H[k[:, None], b ^ x[:, None], b] = _PHASE[_POPCOUNT[x & z]][:, None] * (_WALSH[z] / math.sqrt(8.0))
-    T = H.reshape(64, 64).T.copy()
-    # tr(H_k^{T_M} H_k^H) = s[M, k], exactly +-1 after rounding, since tr(H_k H_k^H) = 1
-    s = np.rint(np.array([(partial_transpose(H, cut) * H.conj()).sum(axis=(1, 2)).real
-                          for cut in BIPARTITIONS]))
-    T.flags.writeable = s.flags.writeable = False  # shared by every caller through the cache
-    return T, s
+# The Pauli basis H_k of _WitnessProgram as _T, the 64x64 unitary whose
+# column k is the row-major vec(H_k), and the partial transposes as the signs
+# _S (3, 64) with H_k^{T_M} = _S[M, k] H_k.
+_k = np.arange(64)
+_x, _z, _b = _k // 8, _k % 8, np.arange(8)
+_H = np.zeros((64, 8, 8), dtype=complex)
+_H[_k[:, None], _b ^ _x[:, None], _b] = _PHASE[_POPCOUNT[_x & _z]][:, None] * (_WALSH[_z] / math.sqrt(8.0))
+_T = _H.reshape(64, 64).T.copy()
+# tr(H_k^{T_M} H_k^H) = _S[M, k], exactly +-1 after rounding, since tr(H_k H_k^H) = 1
+_S = np.rint(np.array([(partial_transpose(_H, cut) * _H.conj()).sum(axis=(1, 2)).real
+                       for cut in BIPARTITIONS]))
 
-
-@lru_cache(maxsize=1)
-def _arrow_tables():
-    """The gathers, the output map and the signs s_M[k] s_M[k'] of
-    _WitnessProgram.arrow."""
-    x, xp = np.triu_indices(8)  # the 36 pairs x <= x'
-    b, d = np.divmod(np.arange(64), 8)
-    left = d[:, None] * 8 + (b[:, None] ^ x)  # W[d, b ^ x], (64, 36)
-    right = b[:, None] * 8 + (d[:, None] ^ xp)  # W[b, d ^ x']
-    pair = np.empty((8, 8), dtype=int)
-    pair[x, xp] = pair[xp, x] = np.arange(36)
-    X, Z, Xp, Zp = np.ix_(*[np.arange(8)] * 4)
-    n = _POPCOUNT[X & Z] + _POPCOUNT[Xp & Zp]  # the phase i^n of H_k H_k'
-    zz = np.where(X <= Xp, 8 * Z + Zp, 8 * Zp + Z)  # the pair (x', x) is read transposed
-    # B[k, k'] of one block pair reads its G[(z, z'), pair, re/im]
-    src = ((zz * 36 + pair[X, Xp]) * 2 + n % 2).reshape(64, 64)
-    # Re(i^n G) is Re G, -Im G, -Re G, Im G for n = 0..3
-    sign = (np.array([1.0, -1.0, -1.0, 1.0])[n % 4] / 8.0).reshape(64, 64)
-    s = _pauli()[1]
-    return left, right, src, sign, s[:, :, None] * s[:, None, :]
+# The gathers, the output map and the signs s_M[k] s_M[k'] of
+# _WitnessProgram.arrow.
+_x, _xp = np.triu_indices(8)  # the 36 pairs x <= x'
+_b, _d = np.divmod(np.arange(64), 8)
+_LEFT = _d[:, None] * 8 + (_b[:, None] ^ _x)  # W[d, b ^ x], (64, 36)
+_RIGHT = _b[:, None] * 8 + (_d[:, None] ^ _xp)  # W[b, d ^ x']
+_pair = np.empty((8, 8), dtype=int)
+_pair[_x, _xp] = _pair[_xp, _x] = np.arange(36)
+_X, _Z, _Xp, _Zp = np.ix_(*[np.arange(8)] * 4)
+_n = _POPCOUNT[_X & _Z] + _POPCOUNT[_Xp & _Zp]  # the phase i^n of H_k H_k'
+_zz = np.where(_X <= _Xp, 8 * _Z + _Zp, 8 * _Zp + _Z)  # the pair (x', x) is read transposed
+# B[k, k'] of one block pair reads its G[(z, z'), pair, re/im]
+_SRC = ((_zz * 36 + _pair[_X, _Xp]) * 2 + _n % 2).reshape(64, 64)
+# Re(i^n G) is Re G, -Im G, -Re G, Im G for n = 0..3
+_SIGN = (np.array([1.0, -1.0, -1.0, 1.0])[_n % 4] / 8.0).reshape(64, 64)
+_SS = _S[:, :, None] * _S[:, None, :]
+for _table in (_T, _S, _LEFT, _RIGHT, _SRC, _SIGN, _SS):
+    _table.flags.writeable = False  # shared by every program
+del _k, _x, _z, _b, _H, _xp, _d, _pair, _X, _Z, _Xp, _Zp, _n, _zz, _table
 
 
 def _tril_inv(L):
@@ -122,7 +116,7 @@ def _tril_inv(L):
 
 def _coords(v):
     """Coordinates tr(H_k h) of Hermitian matrices h given as vecs v (..., 64)."""
-    return (v @ _pauli()[0].conj()).real
+    return (v @ _T.conj()).real
 
 
 class _WitnessProgram:
@@ -137,15 +131,16 @@ class _WitnessProgram:
 
     Each qubit factor of H_k is I, X, Z or Y, and only Y changes sign when
     transposed, so H_k^{T_M} = s_M[k] H_k with s_M[k] = (-1)^{x_q z_q} for
-    the qubit q of cut M; _pauli reads the signs off partial_transpose as
-    s_M[k] = tr(H_k^{T_M} H_k^H). Per cut M the four 8x8 slack blocks are
+    the qubit q of cut M; the module reads the signs _S off
+    partial_transpose as s_M[k] = tr(H_k^{T_M} H_k^H). Per cut M the four
+    8x8 slack blocks are
 
         [W - Q_M^{T_M},  I - W + Q_M^{T_M},  Q_M,  I - Q_M],
 
     so C = [0, I, 0, I] and b = -tr(H_k rho) on the W rows, 0 on the rest:
     maximizing b^T y minimizes tr(W rho). No coefficient matrix is stored:
-    each one is +-H_k or +-s_M[k] H_k, so apply and adjoint are the map T
-    of _pauli and the signs s.
+    each one is +-H_k or +-s_M[k] H_k, so apply and adjoint are the map _T
+    and the signs _S, both built at import.
 
     The Schur complement M_ij = sum_b tr(A_i W_b A_j W_b) is real. Let
     B_b[k, k'] = tr(H_k W_b H_k' W_b), and on cut M let P_M = B_P1 + B_P2
@@ -193,37 +188,33 @@ class _WitnessProgram:
         self._factor = np.empty((3, 64, 64)), np.empty((192, 64))
 
     def apply(self, X):
-        _, s = _pauli()
         X = X.reshape(3, 4, 64)
         c = _coords(np.concatenate([X[:, 0] - X[:, 1], X[:, 3] - X[:, 2]]))
-        return np.concatenate([-c[:3].sum(axis=0), s * c[:3] + c[3:]], axis=None)
+        return np.concatenate([-c[:3].sum(axis=0), _S * c[:3] + c[3:]], axis=None)
 
     def adjoint(self, y):
-        T, s = _pauli()
         y = y.reshape(4, 64)
-        v = np.concatenate([s * y[1:] - y[0], y[1:]]) @ T.T  # vec(Q_M^{T_M} - W), vec(Q_M)
+        v = np.concatenate([_S * y[1:] - y[0], y[1:]]) @ _T.T  # vec(Q_M^{T_M} - W), vec(Q_M)
         P, Q = v[:3], v[3:]
         return np.stack([P, -P, -Q, Q], axis=1).reshape(12, 8, 8)
 
     def arrow(self, W):
         """The blocks M_WW (64, 64), M_{W,Q_M} and M_{Q_M,Q_M} (3, 64, 64)
         of M at the NT points W (12, 8, 8), in the program's arrays."""
-        left, right, src, sign, ss = _arrow_tables()
-        _, s = _pauli()
         MWW, MWQ, MQQ = self._arrow
         MWW.fill(0.0)
         Wv = np.ascontiguousarray(W.reshape(6, 2, 64).swapaxes(1, 2))  # [block pair, entry, block]
         for c in range(3):
             P, Q = MWQ[c], MQQ[c]
             for j, B in enumerate((P, Q)):  # one block pair at a time keeps every temporary small
-                F = np.take(Wv[2 * c + j], left, axis=0)  # [(b, d), pair, block]
-                F *= np.take(Wv[2 * c + j], right, axis=0)
+                F = np.take(Wv[2 * c + j], _LEFT, axis=0)  # [(b, d), pair, block]
+                F *= np.take(Wv[2 * c + j], _RIGHT, axis=0)
                 F = (F[..., 0] + F[..., 1]).view(float).reshape(8, 8, 72)  # [b, d, (pair, re/im)]
-                np.take(_WALSH @ (_WALSH @ F).reshape(8, -1), src, out=B)
-                B *= sign
+                np.take(_WALSH @ (_WALSH @ F).reshape(8, -1), _SRC, out=B)
+                B *= _SIGN
             MWW += P
-            Q += P * ss[c]
-            P *= -s[c]
+            Q += P * _SS[c]
+            P *= -_S[c]
         return MWW, MWQ, MQQ
 
     def schur(self, W):
@@ -367,7 +358,7 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
     lower, upper = _bracket(problem, sol, start[1], rho, 16.0 * eps_ppt)
     return GmnReport(
         value=max(0.0, 2.0 * sol.dual_obj),
-        witness=(_pauli()[0] @ sol.y[:64]).reshape(8, 8),
+        witness=(_T @ sol.y[:64]).reshape(8, 8),
         negativities=negativities,
         status=sol.status,
         gap=sol.gap,

@@ -12,8 +12,9 @@ from sgadmem.channel import (
     LindbladSpec,
     SgadParams,
     _apply,
-    _asymptotic_maps,
+    _correlated_superop,
     _kraus_from,
+    _product_superop,
     _radicands,
     _single_superop,
     _uncorrelated_superop,
@@ -379,10 +380,10 @@ def test_asymptotic_mu_validation():
 
 
 def test_asymptotic_state_matches_apply_memory_bit_for_bit():
-    # the cached t -> inf maps against the maps apply_memory builds at t = inf,
-    # on a call that builds them and on one that reads them
+    # on a call that builds the t -> inf maps and on one that reads them
     rhos = np.array([make_pure("ghz1"), make_noisy("w", beta=0.3)] + random_states(11, 2))
-    _asymptotic_maps.cache_clear()
+    _correlated_superop.cache_clear()
+    _uncorrelated_superop.cache_clear()
     for p in (SgadParams(1.0, 0.3, 0.0), SgadParams(1.0, 1.0, 0.5)):
         for mu in (0.0, 0.37, 1.0):
             expect = apply_memory(rhos, p, math.inf, mu)
@@ -395,12 +396,30 @@ def test_asymptotic_state_matches_apply_memory_bit_for_bit():
 
 
 def test_asymptotic_maps_are_cached_read_only():
-    maps = _asymptotic_maps(SgadParams(1.0, 1.0, 0.0))
-    assert _asymptotic_maps(SgadParams(1.0, 1.0, 0.0)) is maps
-    for s in maps:
-        assert not s.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            s[0, 0] = 0.0
+    p = SgadParams(1.0, 1.0, 0.5)
+    assert admissible(p, 1.0)
+    for t in (math.inf, 1.0):
+        for build in (_correlated_superop, _uncorrelated_superop):
+            s = build(p, t)
+            assert build(SgadParams(1.0, 1.0, 0.5), t) is s
+            assert not s.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                s[0, 0] = 0.0
+
+
+def test_clamped_operator_set_never_enters_the_cache():
+    # choi_matrix builds its clamped set itself, so the maps that apply and
+    # the cache hold exist only where the operator set does
+    p = SgadParams(1.0, 1.0, 0.0)
+    rho = make_pure("w")
+    _uncorrelated_superop.cache_clear()
+    with pytest.warns(UserWarning, match="clamped"):
+        choi_matrix(p, 0.05, "memory-3q", 0.5)
+    with pytest.raises(CpViolationError):
+        apply_memory(rho, p, 0.05, 0.5)
+    with pytest.raises(CpViolationError):
+        apply_uncorrelated(rho, p, 0.05)
+    assert _uncorrelated_superop.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n, m, t", [(1.0, 0.5, 1.0), (1.0, 0.5, math.inf), (1.0, 0.0, 0.05)],
@@ -432,7 +451,7 @@ def test_apply_checks_stack_shape_and_each_trace():
         apply_correlated(np.zeros((5, 8, 7)), p, 1.0)
     # the clamped operator set gains trace on each qubit's |0> population
     # only, so it keeps the trace of |111><111| and not that of |000><000|
-    clamped = _uncorrelated_superop(_kraus_from(_radicands(p, 0.05)))
+    clamped = _product_superop(_kraus_from(_radicands(p, 0.05)))
     stack = np.zeros((3, 8, 8), dtype=complex)
     stack[:, 7, 7] = 1.0
     assert np.abs(np.trace(_apply(clamped, stack), axis1=1, axis2=2) - 1.0).max() < 1e-12

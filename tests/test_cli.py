@@ -194,29 +194,31 @@ def test_sweep_measures_asymptotic_state_bit_for_bit(monkeypatch, capsys):
 
 
 def test_sweep_builds_each_n_maps_once_per_process(monkeypatch, capsys):
+    # the uncorrelated builder calls kraus_single only on a cache miss
     built = []
-    correlated = channel._correlated_superop
+    kraus_single = channel.kraus_single
 
     def count(p, t):
         if t == math.inf:
             built.append(p.n)
-        return correlated(p, t)
+        return kraus_single(p, t)
 
     def sweep(ns):
         argv = ["asymptotic", "--family", "ghz2", "--alpha", "0.4,0.9",
                 "--n", ",".join(map(str, ns)), "--mu", "0,0.5,1"]
         assert run(capsys, argv)[0] == 0
 
-    monkeypatch.setattr(channel, "_correlated_superop", count)
+    monkeypatch.setattr(channel, "kraus_single", count)
     monkeypatch.setattr(cli, "_measure_row", lambda rho, tol: (0.0,) * 5 + ("optimal",))
-    channel._asymptotic_maps.cache_clear()
+    channel._correlated_superop.cache_clear()
+    channel._uncorrelated_superop.cache_clear()
     ten = [k / 10 for k in range(1, 11)]
     sweep(ten)
     assert built == ten
     sweep(ten)
     assert built == ten
     # more n values than the cache holds: still one build each
-    many = [k + 2.0 for k in range(channel._asymptotic_maps.cache_info().maxsize + 2)]
+    many = [k + 2.0 for k in range(channel._uncorrelated_superop.cache_info().maxsize + 2)]
     sweep(many)
     assert built == ten + many
 

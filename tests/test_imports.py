@@ -246,3 +246,18 @@ def test_every_public_default_is_set_by_a_caller():
     unset = sorted(f"{callee}({name}=...)" for callee, position, name in _defaulted_parameters()
                    if not any(_passes(c, position, name) for c in calls.get(callee, [])))
     assert not unset, f"no call passes {unset}"
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracing.py wraps each module.name of its BINDINGS, and a
+    # traced run stops on a name the package no longer defines; the table
+    # is read from the source, without importing the harness
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    bindings = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "BINDINGS" for t in node.targets))
+    import sgadmem.cli  # binds every module on the package
+
+    missing = sorted(f"{module}.{name}" for module, names in bindings.items() for name in names
+                     if not hasattr(getattr(sgadmem, module, None), name))
+    assert bindings and not missing, f"the tracer wraps {missing}, which the package lacks"

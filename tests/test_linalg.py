@@ -6,7 +6,6 @@ from sgadmem.linalg import (
     CUT_A,
     CUT_B,
     CUT_C,
-    Bipartition,
     hermitian_eigenvalues,
     partial_transpose,
     tensor,
@@ -29,11 +28,6 @@ def random_state(rng, d=8):
 def test_bipartition_labels():
     assert [c.label for c in BIPARTITIONS] == ["A|BC", "B|AC", "C|AB"]
     assert CUT_A.qubit == 0 and CUT_B.qubit == 1 and CUT_C.qubit == 2
-    # a cut is named by its one single qubit: a two-qubit side names the same
-    # cut as its complement, and a tuple is not a position
-    for qubit in [3, -1, (0,), (), (0, 1), (0, 1, 2)]:
-        with pytest.raises(ValueError, match="one qubit position"):
-            Bipartition("bad", qubit)
 
 
 def test_tensor_matches_kron():

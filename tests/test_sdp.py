@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from dense_sdp import SdpProblem, identity_start
 
-from sgadmem import sdp
+from sgadmem import sdp, witness
 from sgadmem.channel import SgadParams, asymptotic_state
 from sgadmem.linalg import BIPARTITIONS, partial_transpose, tensor
 from sgadmem.sdp import CENTRALITY_MIN, _predictor_steps, _scaling, _steps, solve
 from sgadmem.states import make_noisy, make_pure
-from sgadmem.witness import _pauli, _witness_program
+from sgadmem.witness import _S, _T, _witness_program
 
 
 def sym(a):
@@ -47,8 +47,7 @@ def min_eig_problem(c):
 def dense_witness_program(rho):
     """The witness program of sgadmem.witness as an SdpProblem that holds
     every coefficient matrix, with the same start."""
-    T, _ = _pauli()
-    H = T.T.reshape(64, 8, 8)
+    H = _T.T.reshape(64, 8, 8)
     eye = np.eye(8)
     # A[k, j, q]: block j of cut k, on the rows of W (q = 0) and of Q_A, Q_B, Q_C
     A = np.zeros((3, 4, 4, 64, 8, 8), dtype=complex)
@@ -63,7 +62,7 @@ def dense_witness_program(rho):
     def coords(h):
         # tr(H_k h) for a stack of matrices, by the contraction of witness._coords
         # on the same shapes, so that b and y0 round as they do there
-        return (h.reshape(h.shape[:-2] + (64,)) @ T.conj()).real
+        return (h.reshape(h.shape[:-2] + (64,)) @ _T.conj()).real
 
     b = np.concatenate([-coords(rho), np.zeros(192)])
     problem = SdpProblem(C, A.reshape(12, 256, 8, 8), b)
@@ -308,12 +307,21 @@ def test_witness_schur_matches_generic(monkeypatch):
     assert well_conditioned >= 10 and reduced_decides >= 5
 
 
+def test_witness_tables_are_read_only():
+    # built once at import and shared by every program
+    for name in ("_T", "_S", "_LEFT", "_RIGHT", "_SRC", "_SIGN", "_SS"):
+        table = getattr(witness, name)
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+
+
 def test_pauli_basis_and_walsh_hadamard_blocks():
     # The basis against Pauli strings built by Kronecker products, each
     # partial transpose against the sign table, and arrow's Walsh-Hadamard
     # blocks against the Kronecker form Re(T^H (W_b (x) W_b^T) T) of the
     # Schur complement, summed over the P and the Q pair of each cut
-    T, s = _pauli()
+    T, s = _T, _S
     H = T.T.reshape(64, 8, 8)
     X, Z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
     factor = {(0, 0): np.eye(2), (1, 0): X, (0, 1): Z, (1, 1): 1j * X @ Z}  # i XZ = Y

@@ -100,6 +100,20 @@ def test_validate_accepts_and_symmetrizes():
     assert np.abs(out - out.conj().T).max() == 0.0
 
 
+def test_validate_copy_is_the_symmetrized_input_bit_for_bit():
+    # states that are Hermitian only to rounding, as channel outputs are
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        h = g @ g.conj().T
+        rho = h / np.trace(h).real
+        rho = rho + 1e-14 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        assert np.abs(rho - rho.conj().T).max() > 0.0
+        out = validate(rho)
+        assert out is not rho
+        assert out.tobytes() == (0.5 * (rho + rho.conj().T)).tobytes()
+
+
 def test_validate_collects_all_violations():
     bad = np.diag([0.5, 0.7, -0.2, 0, 0, 0, 0, 0]).astype(complex)
     bad[0, 1] = 0.3  # not hermitian either
