@@ -19,14 +19,15 @@ asymptotic_state is apply_memory at t = inf. The two three-qubit maps are
 built by cached builders, each a read-only array kept for the last 16
 (p, t), so a sweep at one bath builds its two maps once.
 
-The operator set and the master-equation integrator agree on populations
-only. The README gives the account (test c04) and the domain where the
-operator set exists (Admissibility).
+The operator set exists only where its radicands are nonnegative; outside
+that domain every map built on it, choi_matrix included, raises
+CpViolationError. The operator set and the master-equation integrator agree
+on populations only. The README gives the account (test c04) and the domain
+(Admissibility).
 """
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,6 @@ RADICAND_TOL = 1e-12
 TRACE_TOL = 1e-8
 
 SIGMA_P = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
-SIGMA_M = SIGMA_P.conj().T
 I2 = np.eye(2, dtype=complex)
 
 
@@ -51,7 +51,6 @@ class CpViolationError(ValueError):
 
     def __init__(self, offenders, n, m, wt, radicands):
         self.offenders = tuple(offenders)
-        self.radicands = dict(radicands)
         vals = ", ".join(f"{k}^2={radicands[k]:.6e}" for k in offenders)
         super().__init__(
             f"Kraus radicand(s) negative for {', '.join(offenders)} at "
@@ -112,15 +111,6 @@ def _radicands(p, t):
     }
 
 
-def _kraus_from(rad):
-    """K1..K4 as one (4, 2, 2) array, from radicands each clamped at zero."""
-    k1, k2, k3, k4, xc, xs = (math.sqrt(max(rad[k], 0.0)) for k in ("k1", "k2", "k3", "k4", "xc", "xs"))
-    return np.array([[[k1, 0.0], [0.0, k2]],
-                     [[0.0, k3], [k4, 0.0]],
-                     [[xc, 0.0], [0.0, xc]],
-                     [[0.0, xs], [xs, 0.0]]], dtype=complex)
-
-
 def kraus_single(p, t):
     """Four-operator damping set K1..K4 at time t, as one (4, 2, 2) array.
 
@@ -135,14 +125,11 @@ def kraus_single(p, t):
     offenders = [k for k in ("k1", "k2", "k3", "k4") if rad[k] < -RADICAND_TOL]
     if offenders:
         raise CpViolationError(offenders, p.n, p.m, p.omega * t, rad)
-    return _kraus_from(rad)
-
-
-def _lift(op, q):
-    """Embed a single-qubit operator on qubit q of three."""
-    mats = [I2, I2, I2]
-    mats[q] = op
-    return tensor(mats[0], tensor(mats[1], mats[2]))
+    k1, k2, k3, k4, xc, xs = (math.sqrt(max(rad[k], 0.0)) for k in ("k1", "k2", "k3", "k4", "xc", "xs"))
+    return np.array([[[k1, 0.0], [0.0, k2]],
+                     [[0.0, k3], [k4, 0.0]],
+                     [[xc, 0.0], [0.0, xc]],
+                     [[0.0, xs], [xs, 0.0]]], dtype=complex)
 
 
 def _single_superop(ops):
@@ -179,35 +166,30 @@ def _correlated_superop(p, t):
     return s
 
 
-def _product_superop(ops):
-    """64x64 superoperator of the operator set ops on each qubit:
-    _single_superop tensored three times."""
-    s = _single_superop(ops).reshape(2, 2, 2, 2)  # (row out, col out, row in, col in)
-    return np.einsum("adgj,behk,cfil->abcdefghijkl", s, s, s).reshape(64, 64)
-
-
 @functools.lru_cache(maxsize=16)
 def _uncorrelated_superop(p, t):
-    """64x64 superoperator of apply_uncorrelated, read-only and built once for
-    each of the last 16 (p, t); kraus_single raises outside its domain, and a
-    raised call is not cached."""
-    s = _product_superop(kraus_single(p, t))
+    """64x64 superoperator of apply_uncorrelated, the single-qubit one
+    tensored three times, read-only and built once for each of the last 16
+    (p, t); kraus_single raises outside its domain, and a raised call is not
+    cached."""
+    s = _single_superop(kraus_single(p, t)).reshape(2, 2, 2, 2)  # (row out, col out, row in, col in)
+    s = np.einsum("adgj,behk,cfil->abcdefghijkl", s, s, s).reshape(64, 64)
     s.flags.writeable = False  # shared by every caller through the cache
     return s
 
 
-def _mixture(mu, correlated, uncorrelated):
-    """mu * correlated + (1 - mu) * uncorrelated, with the two 64x64 maps
-    given as functions that return them. An endpoint calls only the one it
-    uses, so mu = 1 never builds the operator set."""
+def _memory_superop(p, t, mu):
+    """64x64 superoperator mu * correlated + (1 - mu) * uncorrelated. An
+    endpoint reads only the map it uses, so mu = 1 never builds the operator
+    set."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
     if mu == 1.0:
-        return correlated()
+        return _correlated_superop(p, t)
     if mu == 0.0:
-        return uncorrelated()
-    out = mu * correlated()
-    out += (1 - mu) * uncorrelated()
+        return _uncorrelated_superop(p, t)
+    out = mu * _correlated_superop(p, t)
+    out += (1 - mu) * _uncorrelated_superop(p, t)
     return out
 
 
@@ -259,8 +241,7 @@ def apply_memory(rho, p, t, mu):
     where the four-operator set of the unused uncorrelated branch would be
     outside its validity domain.
     """
-    return _apply(_mixture(mu, lambda: _correlated_superop(p, t),
-                           lambda: _uncorrelated_superop(p, t)), rho)
+    return _apply(_memory_superop(p, t, mu), rho)
 
 
 def asymptotic_state(rho, p, mu):
@@ -297,14 +278,14 @@ class LindbladSpec:
         if self.mode not in ("uncorrelated", "correlated"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "correlated":
-            sp = tensor(SIGMA_P, tensor(SIGMA_P, SIGMA_P))
-            pairs = [(sp, sp.conj().T)]
+            raising = [tensor(SIGMA_P, SIGMA_P, SIGMA_P)]
         else:
-            pairs = [(_lift(SIGMA_P, q), _lift(SIGMA_M, q)) for q in range(3)]
+            raising = [tensor(*(SIGMA_P if k == q else I2 for k in range(3))) for q in range(3)]
         n, m, w = self.params.n, self.params.m, self.params.omega
         eye = np.eye(8)
         gen = np.zeros((64, 64), dtype=complex)  # a rho b is np.kron(a, b.T) on vec(rho)
-        for sp, sm in pairs:
+        for sp in raising:
+            sm = sp.conj().T
             pm = sp @ sm  # |excited-pattern><excited-pattern| projector
             mp = sm @ sp
             gen += -0.5 * w * (n + 1) * (np.kron(pm, eye) + np.kron(eye, pm.T) - 2 * np.kron(sm, sp.T))
@@ -346,31 +327,17 @@ def choi_matrix(p, t, mode, mu=0.0):
     Built as the reshuffle of the map's superoperator S:
     choi[i*d + a, j*d + b] = S[a*d + b, i*d + j] / d.
     The map is completely positive iff the minimum eigenvalue is >= -1e-8;
-    a negative value is a returned diagnostic, never an exception. At
-    parameter points outside the damping set's validity domain the radicands
-    are clamped (with a UserWarning) and the defect shows up as trace < 1.
+    a negative value is a returned diagnostic, never an exception. The
+    matrix is read from the same builders as the maps, so a mode that reads
+    the operator set ("uncorrelated-single", and "memory-3q" at mu < 1)
+    raises CpViolationError outside its domain, as kraus_single does.
     """
-    clamped = []
-
-    def kraus():  # the operator set, clamped where it does not exist
-        try:
-            return kraus_single(p, t)
-        except CpViolationError as exc:
-            clamped.append(exc)
-            return _kraus_from(exc.radicands)
-
     if mode == "uncorrelated-single":
-        s, dim = _single_superop(kraus()), 2
+        s, dim = _single_superop(kraus_single(p, t)), 2
     elif mode == "correlated-3q":
         s, dim = _correlated_superop(p, t), 8
     elif mode == "memory-3q":
-        s, dim = _mixture(mu, lambda: _correlated_superop(p, t),
-                          lambda: _product_superop(kraus())), 8
+        s, dim = _memory_superop(p, t, mu), 8
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for exc in clamped:  # warned here, so that the warning names the caller
-        warnings.warn(f"Kraus radicands clamped to zero for {', '.join(exc.offenders)} at "
-                      f"n={p.n}, m={p.m}, Omega*t={p.omega * t}: outside the operator "
-                      "set's validity domain, map is not trace preserving there",
-                      UserWarning, stacklevel=2)
     return s.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim) / dim

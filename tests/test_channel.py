@@ -13,8 +13,6 @@ from sgadmem.channel import (
     SgadParams,
     _apply,
     _correlated_superop,
-    _kraus_from,
-    _product_superop,
     _radicands,
     _single_superop,
     _uncorrelated_superop,
@@ -170,7 +168,8 @@ def test_cp_violation_small_time():
     with pytest.raises(CpViolationError) as exc:
         kraus_single(SgadParams(1.0, 1.0, 0.0), 0.1)
     assert "k1" in exc.value.offenders
-    assert abs(exc.value.radicands["k1"] - (-0.033496)) < 1e-5
+    assert abs(_radicands(SgadParams(1.0, 1.0, 0.0), 0.1)["k1"] - (-0.033496)) < 1e-5
+    assert "k1^2=-3.3495" in str(exc.value)
 
 
 def test_cp_violation_names_all_offenders():
@@ -198,8 +197,8 @@ def test_vacuum_bath_never_admissible():
         with pytest.raises(CpViolationError) as exc:
             kraus_single(SgadParams(1.0, 0.0, 0.0), t)
         assert "k1" in exc.value.offenders
-        # remaining radicands still carry their analytic values
-        assert abs(exc.value.radicands["k4"] - (1.0 - math.exp(-t))) < 1e-12
+        # the remaining radicands still carry their analytic values
+        assert abs(_radicands(SgadParams(1.0, 0.0, 0.0), t)["k4"] - (1.0 - math.exp(-t))) < 1e-12
 
 
 # -- three-qubit product channel -------------------------------------------
@@ -407,26 +406,11 @@ def test_asymptotic_maps_are_cached_read_only():
                 s[0, 0] = 0.0
 
 
-def test_clamped_operator_set_never_enters_the_cache():
-    # choi_matrix builds its clamped set itself, so the maps that apply and
-    # the cache hold exist only where the operator set does
-    p = SgadParams(1.0, 1.0, 0.0)
-    rho = make_pure("w")
-    _uncorrelated_superop.cache_clear()
-    with pytest.warns(UserWarning, match="clamped"):
-        choi_matrix(p, 0.05, "memory-3q", 0.5)
-    with pytest.raises(CpViolationError):
-        apply_memory(rho, p, 0.05, 0.5)
-    with pytest.raises(CpViolationError):
-        apply_uncorrelated(rho, p, 0.05)
-    assert _uncorrelated_superop.cache_info().currsize == 0
-
-
-@pytest.mark.parametrize("n, m, t", [(1.0, 0.5, 1.0), (1.0, 0.5, math.inf), (1.0, 0.0, 0.05)],
-                         ids=["admissible", "asymptote", "clamped"])
+@pytest.mark.parametrize("n, m, t", [(1.0, 0.5, 1.0), (1.0, 0.5, math.inf), (0.3, 0.4, 3.0)],
+                         ids=["admissible", "asymptote", "squeezed"])
 def test_single_superop_matches_kron_sum_bit_for_bit(n, m, t):
     # the one-einsum build against the Kronecker sum it replaced
-    ops = _kraus_from(_radicands(SgadParams(1.0, n, m), t))
+    ops = kraus_single(SgadParams(1.0, n, m), t)
     assert ops.shape == (4, 2, 2)
     expect = sum(np.kron(k, k.conj()) for k in ops)
     assert _single_superop(ops).tobytes() == expect.tobytes()
@@ -449,15 +433,16 @@ def test_apply_checks_stack_shape_and_each_trace():
     p = SgadParams(1.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="8, 8"):
         apply_correlated(np.zeros((5, 8, 7)), p, 1.0)
-    # the clamped operator set gains trace on each qubit's |0> population
-    # only, so it keeps the trace of |111><111| and not that of |000><000|
-    clamped = _product_superop(_kraus_from(_radicands(p, 0.05)))
+    # a map that scales the |000><000| population by 1.05 keeps the trace
+    # of |111><111| and not that of |000><000|
+    gaining = np.eye(64)
+    gaining[0, 0] = 1.05
     stack = np.zeros((3, 8, 8), dtype=complex)
     stack[:, 7, 7] = 1.0
-    assert np.abs(np.trace(_apply(clamped, stack), axis1=1, axis2=2) - 1.0).max() < 1e-12
+    assert np.abs(np.trace(_apply(gaining, stack), axis1=1, axis2=2) - 1.0).max() < 1e-12
     stack[1] = np.diag(np.eye(8)[0])
     with pytest.raises(RuntimeError, match="lost trace"):
-        _apply(clamped, stack)
+        _apply(gaining, stack)
 
 
 # -- integrator --------------------------------------------------------------
@@ -539,27 +524,28 @@ def test_choi_memory_mixture():
     assert np.abs(cm - ref).max() < 1e-14
 
 
-def test_choi_clamps_with_warning_outside_domain():
-    # inside the inadmissible region the map is reported with clamped
-    # radicands and a trace defect instead of an exception
+def test_choi_raises_where_the_operator_set_does_not_exist():
+    # outside the operator set's domain every mode that reads it raises, as
+    # the maps do; the collective map and mu = 1 exist at every time
     p = SgadParams(1.0, 1.0, 0.0)
-    with pytest.warns(UserWarning, match="k1"):
-        c = choi_matrix(p, 0.1, "uncorrelated-single")
-    assert np.linalg.eigvalsh(c)[0] > -1e-12  # still PSD by construction
-    assert abs(np.trace(c).real - 1.0) > 1e-3  # non-trace-preserving there
-
-
-def test_choi_clamp_warning_names_the_caller():
-    # both clamping modes warn from the line that called choi_matrix, not
-    # from a frame inside the channel module
-    p = SgadParams(1.0, 1.0, 0.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        choi_matrix(p, 0.05, "uncorrelated-single")
-        choi_matrix(p, 0.05, "memory-3q", 0.5)
-        choi_matrix(p, 0.05, "memory-3q", 0.0)
-    assert [w.filename for w in caught] == [__file__] * 3
-    assert all("clamped" in str(w.message) for w in caught)
+    rho = make_pure("w")
+    assert not admissible(p, 0.05)
+    _uncorrelated_superop.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CpViolationError, match="k1"):
+            choi_matrix(p, 0.05, "uncorrelated-single")
+        with pytest.raises(CpViolationError, match="k1"):
+            apply_uncorrelated(rho, p, 0.05)
+        for mu in (0.0, 0.5):
+            with pytest.raises(CpViolationError, match="k1"):
+                choi_matrix(p, 0.05, "memory-3q", mu)
+            with pytest.raises(CpViolationError, match="k1"):
+                apply_memory(rho, p, 0.05, mu)
+        for c in (choi_matrix(p, 0.05, "correlated-3q"), choi_matrix(p, 0.05, "memory-3q", 1.0)):
+            assert np.linalg.eigvalsh(c)[0] > -1e-10
+            assert abs(np.trace(c).real - 1.0) < 1e-12
+    assert _uncorrelated_superop.cache_info().currsize == 0
 
 
 def test_choi_mode_checked():

@@ -67,6 +67,19 @@ def test_validate_reports_each_inadmissible_time_and_runs_the_rest(capsys):
                    "uncorrelated-populations-vs-integrator": True}
 
 
+def test_validate_runs_the_asymptote_without_the_integrator(capsys):
+    # t = inf is the asymptote: every check built on the maps runs there, and
+    # only the integrator comparisons, which take finite times, skip it
+    code, out, _ = run(capsys, ["validate", "--omega-t", "1,inf", "--format", "json"])
+    assert code == 0
+    with_inf = json.loads(out)
+    code, out, _ = run(capsys, ["validate", "--omega-t", "1", "--format", "json"])
+    finite = json.loads(out)
+    assert with_inf["passed"] is True
+    assert [c["check"] for c in with_inf["checks"]] == [c["check"] for c in finite["checks"]]
+    assert all(c["pass"] for c in with_inf["checks"])
+
+
 def test_default_grid_is_admissible(capsys):
     # the default n, m and Omega*t grid lie inside the operator set's domain
     code, out, _ = run(capsys, ["validate"])

@@ -65,9 +65,8 @@ def _assign_targets(stmt):
     return [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
 
 
-def _private_definitions(tree):
-    # module-level functions, classes and assignments whose name starts with
-    # one underscore (dunder names such as __all__ are read by Python itself)
+def _definitions(tree):
+    # the names of a module's module-level functions, classes and assignments
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -75,7 +74,13 @@ def _private_definitions(tree):
         else:
             names |= {n.id for t in _assign_targets(node) for n in ast.walk(t)
                       if isinstance(n, ast.Name)}
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def _private_definitions(tree):
+    # module-level names that start with one underscore (dunder names such
+    # as __all__ are read by Python itself)
+    return {n for n in _definitions(tree) if n.startswith("_") and not n.startswith("__")}
 
 
 def _references(tree):
@@ -97,6 +102,46 @@ def test_every_private_name_is_used(path):
     referenced = set().union(*(_references(ast.parse(p.read_text())) for p in SRC.glob("*.py")))
     unused = sorted(_private_definitions(ast.parse(path.read_text())) - referenced)
     assert not unused, f"{path.name} defines {unused}, which nothing in {SRC.name} uses"
+
+
+# Public names of the package that no module of it reads, each with the
+# file outside the package that reads it and why it stays public.
+READ_OUTSIDE = {
+    "witness.negativity": ("tests/test_acceptance.py", "the independent reference of "
+                           "test_c12_property_suites: gmn takes its negativities from "
+                           "one gathered spectrum"),
+    "witness.xstate_criterion": ("perfbench/tracing.py", "wrapped by the benchmark "
+                                 "tracer's BINDINGS, and tested in tests/test_witness.py"),
+    "witness.asymptotic_ghz1_criterion": ("tests/test_acceptance.py", "the paper's closed "
+                                          "form, the oracle of c10"),
+}
+
+
+def _public_names_and_reads():
+    # each public module-level "module.name" of the package, and every name
+    # its modules read (a name read on any receiver counts)
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    public = {f"{module}.{name}" for module, tree in trees.items()
+              for name in _definitions(tree) if not name.startswith("_")}
+    return public, set().union(*map(_references, trees.values()))
+
+
+def test_every_public_name_is_read():
+    # a public name that no module of the package reads is either dead code
+    # or API kept for a reader outside it, which READ_OUTSIDE must name
+    public, referenced = _public_names_and_reads()
+    unread = sorted(q for q in public if q.split(".")[1] not in referenced and q not in READ_OUTSIDE)
+    assert not unread, f"nothing in {SRC.name} reads {unread}; delete them or list them in READ_OUTSIDE"
+
+
+def test_every_public_name_read_outside_is_needed():
+    # an entry of READ_OUTSIDE names a public name that the package defines
+    # but does not read, in a file that does read it
+    public, referenced = _public_names_and_reads()
+    stale = sorted(q for q, (reader, _) in READ_OUTSIDE.items()
+                   if q not in public or q.split(".")[1] in referenced
+                   or q.split(".")[1] not in (ROOT / reader).read_text())
+    assert not stale, f"READ_OUTSIDE lists {stale}, which need no entry there"
 
 
 def _class_names(tree):
