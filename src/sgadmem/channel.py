@@ -302,7 +302,9 @@ def integrate_master(rho, lspec, t_final, dt):
     actual step is h = t_final / ceil(t_final / dt) so the endpoint is exact.
     The equation is linear, so the steps are applied at once as the RK4 step
     matrix T4(hL) raised to their number, a superoperator that _apply
-    checks like every other map.
+    checks like every other map. A t_final beyond the integrator's reach,
+    with more steps than a float holds or whose step power loses trace, is
+    a ValueError naming it.
     """
     if not 0 <= t_final < math.inf:
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
@@ -310,11 +312,17 @@ def integrate_master(rho, lspec, t_final, dt):
     bound = 0.01 / (p.omega * (2 * p.n + 1))
     if not 0 < dt <= bound + 1e-15:
         raise ValueError(f"dt={dt} must be positive and within the stability bound {bound:.3e}")
+    beyond = f"t_final={t_final} is beyond the integrator's reach at dt={dt:.3e}"
+    if t_final / dt == math.inf:
+        raise ValueError(f"{beyond}: the step count overflows")
     steps = max(1, math.ceil(t_final / dt))
     hl = (t_final / steps) * lspec._liouvillian
     eye = np.eye(64)
     step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4) / 3) / 2)  # T4(hL), Horner form
-    return _apply(np.linalg.matrix_power(step, steps), rho)
+    try:
+        return _apply(np.linalg.matrix_power(step, steps), rho)
+    except RuntimeError as exc:  # the drift of each step adds up
+        raise ValueError(f"{beyond}: {exc}") from None
 
 
 def choi_matrix(p, t, mode, mu=0.0):

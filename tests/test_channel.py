@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -457,6 +458,23 @@ def test_integrate_master_dt_bound():
         for mode in ("correlated", "uncorrelated"):
             with pytest.raises(ValueError):
                 integrate_master(make_pure("w"), LindbladSpec(mode, p), t_final, dt)
+
+
+def test_integrate_master_refuses_a_time_beyond_its_reach():
+    # past float-many steps, or where the powered step loses trace, the time
+    # is out of the integrator's reach: a ValueError naming it, not a
+    # RuntimeError from the trace check (which still guards every other map)
+    def integrate(mode, n, t_final):
+        p = SgadParams(1.0, n, 0.0)
+        return integrate_master(np.eye(8) / 8, LindbladSpec(mode, p), t_final, 0.01 / (2.0 * n + 1.0))
+
+    for mode, n, t_final in (("correlated", 1.0, 1e308), ("uncorrelated", 1.0, 1e308),
+                             ("uncorrelated", 1.0, 1e7), ("uncorrelated", 5.0, 1e6)):
+        with pytest.raises(ValueError, match=re.escape(f"t_final={t_final} is beyond the integrator's reach")):
+            integrate(mode, n, t_final)
+    # a tenth of that time is still in reach at n = 1
+    for mode in ("correlated", "uncorrelated"):
+        assert abs(np.trace(integrate(mode, 1.0, 1e6)).real - 1.0) < 1e-8
 
 
 def test_integrate_master_matches_stepped_reference():

@@ -65,6 +65,42 @@ def test_validate_reports_each_inadmissible_time_and_runs_the_rest(capsys):
     assert ran == {"kraus-completeness": True, "choi-positivity": True,
                    "correlated-vs-integrator": True,
                    "uncorrelated-populations-vs-integrator": True}
+    # the admissibility failure first, then the checks in table order
+    assert [c["check"] for c in report["checks"]] == ["admissibility", *cli.VALIDATE_CHECKS]
+    assert list(cli.VALIDATE_CHECKS) == ["kraus-completeness", "choi-positivity",
+                                         "correlated-vs-integrator",
+                                         "uncorrelated-populations-vs-integrator"]
+
+
+@pytest.mark.parametrize("grid", ["0", "inf", "0,inf"])
+def test_validate_lists_only_the_checks_that_compared_something(capsys, grid):
+    # t = 0 and t = inf give the integrator nothing to compare, so its two
+    # checks are not listed, rather than passed with a residual of 0
+    code, out, _ = run(capsys, ["validate", "--omega-t", grid, "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert [c["check"] for c in report["checks"]] == ["kraus-completeness", "choi-positivity"]
+    code, out, _ = run(capsys, ["validate", "--omega-t", grid])
+    assert code == 0
+    assert [line.split()[1].rstrip(":") for line in out.splitlines()[:-1]] == \
+        ["kraus-completeness", "choi-positivity"]
+    assert out.splitlines()[-1] == "validation passed"
+    code, out, _ = run(capsys, ["validate", "--omega-t", f"{grid},1", "--format", "json"])
+    assert code == 0
+    assert [c["check"] for c in json.loads(out)["checks"]] == list(cli.VALIDATE_CHECKS)
+
+
+@pytest.mark.parametrize("argv", [["--omega-t", "1e308"], ["--omega-t", "1e7"],
+                                  ["--n", "5", "--omega-t", "1e6"]])
+def test_validate_time_beyond_the_integrator_is_an_input_error(capsys, argv):
+    # too many steps for a float, or a step power that drifts off the trace:
+    # an input error naming the time, with no report
+    code, out, err = run(capsys, ["validate", *argv])
+    assert code == 2 and out == ""
+    time = repr(float(argv[-1]))
+    assert err.startswith("input error: ") and f"t_final={time}" in err
+    assert "beyond the integrator's reach" in err
 
 
 def test_validate_runs_the_asymptote_without_the_integrator(capsys):
