@@ -23,6 +23,17 @@ fallback an iterate that drifts off the central path drives the NT scaling
 and the Schur complement towards singularity, after which rounding (for
 instance the BLAS thread count) decides whether the solve converges.
 
+The direction an iteration steps along (corrector or centering) gets a
+second length from the same eigenvalues: FINAL_STEP = 1 - 1e-5 of the way
+to the boundary. That final step is taken only if the iterate it reaches
+passes the stopping test (relgap, pinf and dinf at most tol, gap >= 0),
+so it ends the solve; every other step stops at 0.98. The candidate's gap
+and objectives are measured first, its residuals only if the gap passes,
+and the accepted iterate is stored as measured, so the next loop top
+records it and stops "optimal". Near the optimum a 0.98 step cuts the gap
+by 50x per iteration, so this saves the last one or two iterations of
+most solves.
+
 Each iteration factors every block once, X_b = Lx Lx^H and S_b = Ls Ls^H,
 and takes one SVD Ls^H Lx = U Sigma V^H (Todd, Toh & Tutuncu, SIAM J.
 Optim. 8, 769 (1998)). Everything else follows, with no inverse. The NT
@@ -33,11 +44,12 @@ G^H; the centrality is min Sigma^2 / mu, because Lx^H S Lx = (Ls^H Lx)^H
 Rs = G Sigma^{-1/2} = Lx V Sigma^{-1}, X and S are both I, so X + alpha dX
 >= 0 exactly when I + alpha Dx >= 0 with Dx = Rx^H dX Rx, and likewise for
 S with Ds = Rs^H dS Rs: the step to the boundary is -1/lambda_min(D), of
-which 0.98 is taken, at most 1. The predictor direction solves dX + W dS W
-= -X, which in the frames reads Dx = -I - Ds, so one eigvalsh of Ds gives
-both its steps, with lambda_min(Dx) = -1 - lambda_max(Ds); the corrector's
-two come from one eigvalsh over both frames. A block without a Cholesky
-factor is factored with a trace ridge of 1e-12 and scores centrality 0.
+which 0.98 (or FINAL_STEP) is taken, at most 1. The predictor direction
+solves dX + W dS W = -X, which in the frames reads Dx = -I - Ds, so one
+eigvalsh of Ds gives both its steps, with lambda_min(Dx) = -1 -
+lambda_max(Ds); the corrector's two pairs come from one eigvalsh over both
+frames. A block without a Cholesky factor is factored with a trace ridge
+of 1e-12 and scores centrality 0.
 
 A problem has k blocks of one size d, so every block quantity (C, X, S,
 W, a direction) is one (k, d, d) array, and the NT scaling, centrality,
@@ -65,6 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CENTRALITY_MIN = 1e-2
+FINAL_STEP = 1 - 1e-5
 
 
 def _h(a):
@@ -126,16 +139,18 @@ def _scaling(X, S):
     return _sym(G @ _h(G)), _sym(Rs @ _h(Rs)), lam, np.concatenate([(Ls @ U) / r**2, Rs])
 
 
-def _step(lam):
-    """0.98 of the way to the boundary, at most 1, along a direction whose
-    smallest eigenvalue in the NT frame is lam."""
-    return 1.0 if lam >= -0.98 else -0.98 / lam
+def _step(lam, fraction=0.98):
+    """fraction of the way to the boundary, at most 1, along a direction
+    whose smallest eigenvalue in the NT frame is lam."""
+    return 1.0 if lam >= -fraction else -fraction / lam
 
 
 def _steps(R, dX, dS):
-    """Primal and dual step lengths from one eigvalsh over both NT frames."""
+    """Primal and dual step lengths from one eigvalsh over both NT frames:
+    0.98 of the way to the boundary, and FINAL_STEP of the way."""
     lam = np.linalg.eigvalsh(_h(R) @ np.concatenate([dX, dS]) @ R)[:, 0]
-    return _step(lam[:len(dX)].min()), _step(lam[len(dX):].min())
+    lx, ls = lam[:len(dX)].min(), lam[len(dX):].min()
+    return (_step(lx), _step(ls)), (_step(lx, FINAL_STEP), _step(ls, FINAL_STEP))
 
 
 def _predictor_steps(R, dS):
@@ -143,6 +158,23 @@ def _predictor_steps(R, dS):
     one eigvalsh of Ds gives both."""
     lam = np.linalg.eigvalsh(_h(R[len(dS):]) @ dS @ R[len(dS):])
     return _step(-1.0 - lam[:, -1].max()), _step(lam[:, 0].min())
+
+
+def _stopping_test(problem, X, y, S, tol, norms, lazy=False):
+    """The stopping test of solve at (X, y, S): relgap, pinf and dinf at
+    most tol, with gap >= 0. Returns whether it passes, the history row
+    (pobj, dobj, gap, pinf, dinf) and the residuals rp and Rd. The gap and
+    objectives come first; with lazy, a failing gap returns before the
+    residuals are formed, with row and residuals None."""
+    pobj, dobj, gap = _tr2(problem.C, X), float(problem.b @ y), _tr2(X, S)
+    passed = gap >= 0 and gap / (1.0 + abs(pobj) + abs(dobj)) <= tol
+    if lazy and not passed:
+        return False, None, None, None
+    rp = problem.b - problem.apply(X)
+    Rd = problem.C - problem.adjoint(y) - S
+    pinf = np.linalg.norm(rp) / norms[0]
+    dinf = np.sqrt(_tr2(Rd, Rd)) / norms[1]
+    return passed and pinf <= tol and dinf <= tol, (pobj, dobj, gap, pinf, dinf), rp, Rd
 
 
 def solve(problem, start, tol=1e-8, max_iter=100):
@@ -156,11 +188,9 @@ def solve(problem, start, tol=1e-8, max_iter=100):
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    C = problem.C
-    k, d = C.shape[:2]
+    k, d = problem.C.shape[:2]
     m = problem.b.size
-    bnorm = 1.0 + np.linalg.norm(problem.b)
-    cnorm = 1.0 + np.sqrt(_tr2(C, C))
+    norms = 1.0 + np.linalg.norm(problem.b), 1.0 + np.sqrt(_tr2(problem.C, problem.C))
 
     X, S = np.array(start[0]), np.array(start[2])
     y = np.asarray(start[1], dtype=float).copy()
@@ -169,16 +199,10 @@ def solve(problem, start, tol=1e-8, max_iter=100):
     it = 0
 
     for it in range(max_iter + 1):
-        rp = problem.b - problem.apply(X)
-        Rd = C - problem.adjoint(y) - S
-        pobj = _tr2(C, X)
-        dobj = float(problem.b @ y)
-        gap = _tr2(X, S)
-        pinf = np.linalg.norm(rp) / bnorm
-        dinf = np.sqrt(_tr2(Rd, Rd)) / cnorm
-        relgap = gap / (1.0 + abs(pobj) + abs(dobj))
-        history.append((pobj, dobj, gap, pinf, dinf))
-        if relgap <= tol and pinf <= tol and dinf <= tol:
+        passed, row, rp, Rd = _stopping_test(problem, X, y, S, tol, norms)
+        history.append(row)
+        pobj, dobj, gap = row[:3]
+        if passed:
             status = "optimal"
             break
         if it == max_iter:
@@ -221,10 +245,16 @@ def solve(problem, start, tol=1e-8, max_iter=100):
                 # corrector with Mehrotra second-order term
                 V = sigma * mu * Sinv - X - _sym(dXa @ dSa @ Sinv)
             dX, dy, dS = direction(V)
-            ap, ad = _steps(R, dX, dS)
+            (ap, ad), (fp, fd) = _steps(R, dX, dS)
             if ap < 1e-12 and ad < 1e-12:
                 status = "numerical-failure"
                 break
+            # the final step, taken only if it ends the solve: the next loop
+            # top measures the same iterate and stops
+            final = _sym(X + fp * dX), y + fd * dy, _sym(S + fd * dS)
+            if _stopping_test(problem, *final, tol, norms, lazy=True)[0]:
+                X, y, S = final
+                continue
             X = _sym(X + ap * dX)
             S = _sym(S + ad * dS)
             y = y + ad * dy

@@ -201,6 +201,17 @@ def test_asymptotic_json_format(capsys):
     assert all(r["status"] == "optimal" for r in rows)
 
 
+def test_pure_w_asymptotes_near_mu_1_solve_optimal(capsys):
+    # the mu = 0.99 row ended numerical-failure, and the sweep exited 3, while
+    # every step stopped at 0.98 of the way to the boundary
+    code, out, _ = run(capsys, ["asymptotic", "--family", "w", "--n", "0.1",
+                                "--mu", "0.98,0.99,1"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(row[3], row[-1]) for row in rows] == [
+        ("0.98", "optimal"), ("0.99", "optimal"), ("1", "optimal")]
+
+
 def test_asymptotic_honours_tol(capsys):
     code, out, _ = run(capsys, ["asymptotic", "--family", "w", "--beta", "0.3",
                                 "--n", "1", "--grid", "0.5:0.5:1", "--tol", "1e-2"])

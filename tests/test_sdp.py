@@ -7,7 +7,7 @@ from dense_sdp import SdpProblem, identity_start
 from sgadmem import sdp, witness
 from sgadmem.channel import SgadParams, asymptotic_state
 from sgadmem.linalg import BIPARTITIONS, partial_transpose, tensor
-from sgadmem.sdp import CENTRALITY_MIN, _predictor_steps, _scaling, _steps, solve
+from sgadmem.sdp import CENTRALITY_MIN, FINAL_STEP, _predictor_steps, _scaling, _steps, solve
 from sgadmem.states import make_noisy, make_pure
 from sgadmem.witness import _S, _T, _witness_program
 
@@ -126,13 +126,31 @@ def _ref_max_step(v, dv):
     return np.inf if lam >= 0.0 else -1.0 / lam
 
 
+def _ref_stops(problem, X, y, S, tol):
+    # relgap, pinf and dinf at most tol, with gap >= 0
+    pobj = sum(_ref_tr2(c, x) for c, x in zip(problem.C, X))
+    dobj = float(problem.b @ y)
+    gap = sum(_ref_tr2(x, s) for x, s in zip(X, S))
+    rp = problem.b - _ref_apply(problem, X)
+    Rd = [c - aj - s for c, aj, s in zip(problem.C, _ref_adjoint(problem, y), S)]
+    pinf = np.linalg.norm(rp) / (1.0 + np.linalg.norm(problem.b))
+    dinf = (np.sqrt(sum(_ref_tr2(r, r) for r in Rd))
+            / (1.0 + np.sqrt(sum(_ref_tr2(c, c) for c in problem.C))))
+    passed = (gap >= 0 and gap / (1.0 + abs(pobj) + abs(dobj)) <= tol
+              and pinf <= tol and dinf <= tol)
+    return passed, pobj, dobj, gap, rp, Rd
+
+
+def _ref_steps(X, S, dX, dS, fraction):
+    return tuple(min([1.0] + [fraction * _ref_max_step(v, dv) for v, dv in zip(V, D)])
+                 for V, D in ((X, dX), (S, dS)))
+
+
 def reference_solve(problem, tol=1e-8, max_iter=100, start=None):
     """Returns (status, dual objective, iterations)."""
     dims = [len(c) for c in problem.C]
     nb = len(dims)
     m = problem.b.size
-    bnorm = 1.0 + np.linalg.norm(problem.b)
-    cnorm = 1.0 + np.sqrt(sum(_ref_tr2(c, c) for c in problem.C))
     if start is None:
         X, S, y = [np.eye(d) for d in dims], [np.eye(d) for d in dims], np.zeros(m)
     else:
@@ -141,14 +159,8 @@ def reference_solve(problem, tol=1e-8, max_iter=100, start=None):
         y = np.asarray(start[1], dtype=float).copy()
     status = "max-iterations"
     for it in range(max_iter + 1):
-        rp = problem.b - _ref_apply(problem, X)
-        Rd = [c - aj - s for c, aj, s in zip(problem.C, _ref_adjoint(problem, y), S)]
-        pobj = sum(_ref_tr2(c, x) for c, x in zip(problem.C, X))
-        dobj = float(problem.b @ y)
-        gap = sum(_ref_tr2(x, s) for x, s in zip(X, S))
-        pinf = np.linalg.norm(rp) / bnorm
-        dinf = np.sqrt(sum(_ref_tr2(r, r) for r in Rd)) / cnorm
-        if gap / (1.0 + abs(pobj) + abs(dobj)) <= tol and pinf <= tol and dinf <= tol:
+        passed, pobj, dobj, gap, rp, Rd = _ref_stops(problem, X, y, S, tol)
+        if passed:
             status = "optimal"
             break
         if it == max_iter:
@@ -184,19 +196,24 @@ def reference_solve(problem, tol=1e-8, max_iter=100, start=None):
                 V = [mu * Sinvs[b] - X[b] for b in range(nb)]
             else:
                 dXa, _, dSa = direction([-X[b] for b in range(nb)])
-                ap = min([1.0] + [0.98 * _ref_max_step(X[b], dXa[b]) for b in range(nb)])
-                ad = min([1.0] + [0.98 * _ref_max_step(S[b], dSa[b]) for b in range(nb)])
+                ap, ad = _ref_steps(X, S, dXa, dSa, 0.98)
                 gap_aff = sum(_ref_tr2(X[b] + ap * dXa[b], S[b] + ad * dSa[b])
                               for b in range(nb))
                 sigma = min(1.0, max(0.0, gap_aff / gap) ** 3)
                 V = [sigma * mu * Sinvs[b] - X[b] - sym(dXa[b] @ dSa[b] @ Sinvs[b])
                      for b in range(nb)]
             dX, dy, dS = direction(V)
-            ap = min([1.0] + [0.98 * _ref_max_step(X[b], dX[b]) for b in range(nb)])
-            ad = min([1.0] + [0.98 * _ref_max_step(S[b], dS[b]) for b in range(nb)])
+            ap, ad = _ref_steps(X, S, dX, dS, 0.98)
             if ap < 1e-12 and ad < 1e-12:
                 status = "numerical-failure"
                 break
+            # the final step, taken only if it passes the stopping test
+            fp, fd = _ref_steps(X, S, dX, dS, FINAL_STEP)
+            final = ([sym(X[b] + fp * dX[b]) for b in range(nb)], y + fd * dy,
+                     [sym(S[b] + fd * dS[b]) for b in range(nb)])
+            if _ref_stops(problem, *final, tol)[0]:
+                X, y, S = final
+                continue
             X = [sym(X[b] + ap * dX[b]) for b in range(nb)]
             S = [sym(S[b] + ad * dS[b]) for b in range(nb)]
             y = y + ad * dy
@@ -376,6 +393,17 @@ def test_generic_problem_matches_reference_at_256_rows():
         assert np.abs(factor(ridge)(eye) - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def test_final_step_ends_pure_ghz1_in_five_iterations():
+    # the set-up solve: every step at 0.98 of the way to the boundary takes
+    # 7 iterations; the final step ends it at 5 on an iterate that stays
+    # inside the cone, every block with a Cholesky factor
+    problem, start = _witness_program(make_pure("ghz1"))
+    sol = solve(problem, start=start)
+    assert sol.status == "optimal" and sol.iterations <= 5
+    for V in (sol.X, sol.S):
+        np.linalg.cholesky(V)
+
+
 def test_factor_kernel_matches_eigh_reference():
     # The NT point, S^{-1}, centrality and step lengths from one Cholesky pair
     # and one SVD, against the eigh formulas of reference_solve. With X and S
@@ -406,7 +434,7 @@ def test_factor_kernel_matches_eigh_reference():
         dX, dS = (np.array([rand_herm(rng, 8) for _ in range(6)]) for _ in range(2))
         ref = ref_steps(dX, dS)
         assert max(ref) < 1.0
-        for got, want in zip(_steps(R, dX, dS), ref):
+        for got, want in zip(_steps(R, dX, dS)[0], ref):
             assert abs(got - want) <= 1e-10 * want
         # a predictor direction, dX + W dS W = -X: both steps from the
         # spectrum of dS alone, against two separate step computations. At
@@ -417,7 +445,7 @@ def test_factor_kernel_matches_eigh_reference():
         dX = -X - W @ dS @ W
         ref = ref_steps(dX, dS)
         assert max(ref) < 1.0
-        for got, stacked, want in zip(_predictor_steps(R, dS), _steps(R, dX, dS), ref):
+        for got, stacked, want in zip(_predictor_steps(R, dS), _steps(R, dX, dS)[0], ref):
             assert abs(got - want) <= 1e-10 * want and abs(got - stacked) <= 1e-10 * want
     # an X block without a Cholesky factor scores centrality 0
     X[0] = np.diag([1.0] * 7 + [0.0])
