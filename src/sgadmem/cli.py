@@ -261,11 +261,9 @@ def _run_asymptotic(args):
     weight, values = _weights(args, args.family)
     # a bad weight, --n or mu is an input error (exit 2), not a sweep of error
     # rows: every row's state is computed here, before any row is measured
-    if values:
-        states = np.array([make_noisy(args.family, **{weight: w}) for w in values])
-    else:  # the pure state, printed with the weight that gives it
-        states = make_noisy(args.family)[None]
+    # with no weight given, the pure state, built and printed with the weight that gives it
     weights = values or [1.0 if weight == "alpha" else 0.0]
+    states = np.array([make_noisy(args.family, **{weight: w}) for w in weights])
     params = [SgadParams(1.0, n, 0.0) for n in args.n]
     mus = args.mu if args.mu is not None else _grid(args.grid or "0:1:0.01")
     # n is the outer loop, so each n's maps are built once however many the

@@ -72,7 +72,7 @@ Schur system. The tests hold a dense generic problem, with every
 coefficient matrix and M built dense, as its reference.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class SdpSolution:
     gap: float
     status: str
     iterations: int
-    history: list = field(default_factory=list)
+    history: list
 
 
 def _tr2(a, b):
@@ -196,7 +196,6 @@ def solve(problem, start, tol=1e-8, max_iter=100):
     y = np.asarray(start[1], dtype=float).copy()
     history = []
     status = "max-iterations"
-    it = 0
 
     for it in range(max_iter + 1):
         passed, row, rp, Rd = _stopping_test(problem, X, y, S, tol, norms)

@@ -80,17 +80,18 @@ def make_noisy(family, *, alpha=None, beta=None):
 
 
 def validate(rho):
-    """Check Hermiticity, unit trace and positivity; return a symmetrized copy.
+    """Check that rho is a three-qubit density matrix: 8x8, Hermitian,
+    of unit trace and positive semidefinite; return a symmetrized copy.
 
     All violations are collected and reported together with their magnitudes.
-    A matrix that is not square, or has a NaN or infinite entry, is rejected
+    A matrix that is not 8x8, or has a NaN or infinite entry, is rejected
     first and alone: no comparison with NaN is ever true, so the other
     checks would pass it.
     """
     rho = np.asarray(rho, dtype=complex)
     violations = []
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise StateValidationError([f"not a square matrix: shape {rho.shape}"])
+    if rho.shape != (8, 8):
+        raise StateValidationError([f"not an 8x8 matrix: shape {rho.shape}"])
     if not np.isfinite(rho).all():
         entries = ", ".join(str((int(i), int(j))) for i, j in np.argwhere(~np.isfinite(rho)))
         raise StateValidationError([f"non-finite entries at {entries}"])
@@ -110,21 +111,19 @@ def validate(rho):
     return sym
 
 
-def load_state(source):
-    """Read a state from a JSON file path or an already parsed dict.
+def load_state(path):
+    """Read a state from the JSON file at path.
 
     Two forms are accepted: an explicit matrix
     {"dim": 8, "re": [[...]], "im": [[...]]} (im optional), or a named family
     {"family": "ghz1", "alpha": 0.95} / {"family": "w"}, built by make_noisy.
     An object's keys all belong to one form; family is a string, alpha and
     beta are numbers or null, and re is two-dimensional. Anything else is a
-    ValueError naming the offending key or type.
+    ValueError naming the offending key or type. A matrix is returned as
+    read: validate, which gmn and evolve run first, requires it to be 8x8.
     """
-    if isinstance(source, dict):
-        obj = source
-    else:
-        with open(source) as f:
-            obj = json.load(f)
+    with open(path) as f:
+        obj = json.load(f)
     if not isinstance(obj, dict):
         raise ValueError(f"state JSON must be an object, got {type(obj).__name__}")
     anchor = "family" if "family" in obj else "re"

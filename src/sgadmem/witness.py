@@ -329,16 +329,17 @@ def _bracket(problem, sol, y0, rho, ppt_upper):
 _PT_INDEX = np.array([partial_transpose(np.arange(64).reshape(8, 8), cut) for cut in BIPARTITIONS])
 
 
-def gmn(rho, *, tol=1e-8, max_iter=100):
+def gmn(rho, *, tol=1e-8):
     """Genuine negativity of a three-qubit state via the witness SDP.
 
     rho is validated once. The spectra of its three partial transposes,
     taken in one gather and one eigensolve, give the negativities and the
     PPT bracket of _bracket; when it is narrow enough, the answer is value
     0.0 with the zero matrix as witness, status "optimal" and 0 iterations.
-    Every other state is solved by the interior-point method and then
-    bracketed by _bracket. The report also carries xstate_criterion's four
-    reports on the validated copy. tol must be finite and positive.
+    Every other state is solved by the interior-point method, within
+    solve's default iteration cap, and then bracketed by _bracket. The
+    report also carries xstate_criterion's four reports on the validated
+    copy. tol must be finite and positive.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -354,7 +355,7 @@ def gmn(rho, *, tol=1e-8, max_iter=100):
                          gap=8.0 * eps_ppt, iterations=0, lower=0.0, upper=16.0 * eps_ppt,
                          xstate=xstate)
     problem, start = _witness_program(rho)
-    sol = solve(problem, tol=tol, max_iter=max_iter, start=start)
+    sol = solve(problem, tol=tol, start=start)
     lower, upper = _bracket(problem, sol, start[1], rho, 16.0 * eps_ppt)
     return GmnReport(
         value=max(0.0, 2.0 * sol.dual_obj),
@@ -452,24 +453,24 @@ class ScanResult:
     status: str
 
 
-def threshold_scan(state_at, bracket, *, eps=GMN_EPS, resolution=1e-3, tol=1e-8):
-    """Bisect v over `bracket` for the gmn > eps boundary of the states
+def threshold_scan(state_at, bracket, *, resolution=1e-3, tol=1e-8):
+    """Bisect v over `bracket` for the gmn > GMN_EPS boundary of the states
     state_at(v).
 
     state_at maps a float to a three-qubit state; the scans of the paper
     run along affine lines of states, a mixture weight or the memory weight
-    of the t -> inf state. If gmn - eps has the same sign at both ends the
-    result has found=False and boundary=nan, which is a no-threshold outcome
-    rather than an error. Otherwise the boundary is bisected to within
-    `resolution`, or to two adjacent floats if that is finer than their
-    spacing.
+    of the t -> inf state. If gmn - GMN_EPS has the same sign at both ends
+    the result has found=False and boundary=nan, which is a no-threshold
+    outcome rather than an error. Otherwise the boundary is bisected to
+    within `resolution`, or to two adjacent floats if that is finer than
+    their spacing.
 
-    Each probe is decided by its gmn bracket: lower > eps is above the
-    threshold and upper <= eps below. A probe whose bracket straddles eps
-    is "undecided" and falls back on value > eps. status is the status of
-    the first probe that was not an "optimal", decided one (its solver
-    status, or "undecided"), or "optimal" if every probe was; such a probe
-    may have decided a bisection step.
+    Each probe is decided by its gmn bracket: lower > GMN_EPS is above the
+    threshold and upper <= GMN_EPS below. A probe whose bracket straddles
+    GMN_EPS is "undecided" and falls back on value > GMN_EPS. status is the
+    status of the first probe that was not an "optimal", decided one (its
+    solver status, or "undecided"), or "optimal" if every probe was; such a
+    probe may have decided a bisection step.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution}")
@@ -477,12 +478,12 @@ def threshold_scan(state_at, bracket, *, eps=GMN_EPS, resolution=1e-3, tol=1e-8)
     statuses = []
 
     def probe(v):
-        """(value, above eps) at v."""
+        """(value, above GMN_EPS) at v."""
         report = gmn(state_at(v), tol=tol)
-        decided = report.lower > eps or report.upper <= eps
+        decided = report.lower > GMN_EPS or report.upper <= GMN_EPS
         statuses.append(report.status if report.status != "optimal" or decided
                         else "undecided")
-        return report.value, report.lower > eps if decided else report.value > eps
+        return report.value, report.lower > GMN_EPS if decided else report.value > GMN_EPS
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:

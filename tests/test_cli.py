@@ -522,6 +522,15 @@ def test_invalid_state_rejected(tmp_path, capsys):
         code, out, err = run(capsys, [command, str(path)])
         assert code == 2 and not out
         assert "non-finite entries at (0, 0)" in err
+    # a square matrix of another size is no three-qubit state, and the error
+    # names its shape
+    for dim in (2, 4, 16):
+        path = tmp_path / f"dim{dim}.json"
+        save_state(path, np.eye(dim) / dim)
+        for command in ("gmn", "evolve"):
+            code, out, err = run(capsys, [command, str(path)])
+            assert (code, out) == (2, "")
+            assert err == f"input error: not an 8x8 matrix: shape ({dim}, {dim})\n"
 
 
 @pytest.mark.parametrize("obj, key", [

@@ -277,10 +277,8 @@ def _passes(call, position, name):
                                          or any(isinstance(a, ast.Starred) for a in call.args)))
 
 
-def test_every_public_default_is_set_by_a_caller():
-    # a default that no call in the package, its tests or its benchmark
-    # harness ever overrides is a knob nothing turns
-    files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+def _call_index(files):
+    # the calls of the files by the name they call: f(...) and obj.f(...)
     calls = {}
     for p in files:
         for node in ast.walk(ast.parse(p.read_text())):
@@ -288,9 +286,76 @@ def test_every_public_default_is_set_by_a_caller():
                 f = node.func
                 callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(callee, []).append(node)
+    return calls
+
+
+def test_every_public_default_is_set_by_a_caller():
+    # a default that no call in the package, its tests or its benchmark
+    # harness ever overrides is a knob nothing turns
+    calls = _call_index(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
     unset = sorted(f"{callee}({name}=...)" for callee, position, name in _defaulted_parameters()
                    if not any(_passes(c, position, name) for c in calls.get(callee, [])))
     assert not unset, f"no call passes {unset}"
+
+
+# Parameter defaults of the package that no call in it sets, each with the
+# file outside the package that sets it and why the parameter stays.
+SET_OUTSIDE = {
+    "sdp.solve.max_iter": ("tests/test_witness.py", "tests stop a solve after k iterations, "
+                           "to bracket an iterate that is not optimal"),
+    "channel.choi_matrix.mu": ("perfbench/workloads.py", "the channel-oracle workload builds "
+                               "the memory-3q Choi matrix at its own mu"),
+    "cli.main.argv": ("perfbench/workloads.py", "the benchmark's workloads and the tests run "
+                      "the CLI in-process on their own argv"),
+}
+
+
+def _defaults():
+    # "module.def.parameter" -> (def, position, parameter) for each parameter
+    # with a default of every def in the package, nested and methods too;
+    # position counts the arguments of a call, so a method's self is not
+    # one, and is None for a keyword-only parameter. Dataclass field
+    # defaults are not parameters of a def, and are out of scope here.
+    found = {}
+    for p in SRC.glob("*.py"):
+        tree = ast.parse(p.read_text())
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first, shift = len(positional) - len(a.defaults), int(id(node) in methods)
+            params = [(i - shift, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            params += [(None, arg.arg) for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                       if default is not None]
+            for position, name in params:
+                found[f"{p.stem}.{node.name}.{name}"] = (node.name, position, name)
+    return found
+
+
+def test_every_default_is_set_by_a_caller():
+    # a parameter with a default that no call in the package sets is a
+    # setting no subcommand or module reaches: delete it, or name in
+    # SET_OUTSIDE the file outside the package that sets it
+    calls = _call_index(SRC.glob("*.py"))
+    unset = sorted(q for q, (callee, position, name) in _defaults().items()
+                   if not any(_passes(c, position, name) for c in calls.get(callee, []))
+                   and q not in SET_OUTSIDE)
+    assert not unset, f"no call in {SRC.name} sets {unset}; delete them or list them in SET_OUTSIDE"
+
+
+def test_every_default_set_outside_is_needed():
+    # an entry of SET_OUTSIDE names a default of the package that no call in
+    # it sets, and that a call in the named file does set
+    defaults, calls = _defaults(), _call_index(SRC.glob("*.py"))
+    stale = sorted(q for q, (reader, _) in SET_OUTSIDE.items()
+                   if q not in defaults
+                   or any(_passes(c, *defaults[q][1:]) for c in calls.get(defaults[q][0], []))
+                   or not any(_passes(c, *defaults[q][1:])
+                              for c in _call_index([ROOT / reader]).get(defaults[q][0], [])))
+    assert not stale, f"SET_OUTSIDE lists {stale}, which need no entry there"
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():

@@ -244,9 +244,16 @@ def test_solve_matches_per_block_reference():
         dense, dense_start = dense_witness_program(rho)
         problem, start = _witness_program(rho)
         sol = solve(problem, start=start)
-        status, dual_obj, _ = reference_solve(dense, start=dense_start)
+        status, dual_obj, iterations = reference_solve(dense, start=dense_start)
         assert sol.status == status == "optimal"
         assert abs(sol.dual_obj - dual_obj) <= 1e-8
+        # The counts agree on seven states. On the n = 1, mu = 0.5 asymptote
+        # of pure GHZ1 (14 against 13) and the n = 1, mu = 1 asymptote of W
+        # at beta = 0.3 (16 against 15) solve takes one more: in their end
+        # games the Schur system is near-singular, often ridged, and the
+        # primal residual a step leaves is set by rounding, so rounding
+        # decides which step first passes the stopping test.
+        assert abs(sol.iterations - iterations) <= 1
 
 
 def test_witness_schur_matches_generic(monkeypatch):

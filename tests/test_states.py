@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,10 @@ def test_validate_collects_all_violations():
     inf[0, 1] = inf[1, 0] = np.inf
     with pytest.raises(StateValidationError, match=r"non-finite entries at \(0, 1\), \(1, 0\)"):
         validate(inf)
+    # a density matrix of another size is no three-qubit state
+    for shape in ((2, 2), (4, 4), (16, 16), (8,), (2, 8, 8)):
+        with pytest.raises(StateValidationError, match=re.escape(f"not an 8x8 matrix: shape {shape}")):
+            validate(np.ones(shape) / shape[-1])
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -143,12 +148,19 @@ def test_save_load_roundtrip(tmp_path):
     assert np.abs(back - rho).max() < 1e-15
 
 
-def test_load_family_spec_dict():
-    rho = load_state({"family": "ghz1", "alpha": 0.5})
+def _load(tmp_path, obj):
+    # load_state reads files: write obj as the state file it stands for
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    return load_state(path)
+
+
+def test_load_family_spec_dict(tmp_path):
+    rho = _load(tmp_path, {"family": "ghz1", "alpha": 0.5})
     assert np.abs(rho - make_noisy("ghz1", alpha=0.5)).max() < 1e-15
-    rho = load_state({"family": "w"})
+    rho = _load(tmp_path, {"family": "w"})
     assert np.abs(rho - make_pure("w")).max() < 1e-15
-    rho = load_state({"family": "ghz1", "alpha": None})
+    rho = _load(tmp_path, {"family": "ghz1", "alpha": None})
     assert np.abs(rho - make_pure("ghz1")).max() < 1e-15
     # a weight is a JSON number or null; a bool would read as 0 or 1
     for obj, message in [
@@ -160,28 +172,28 @@ def test_load_family_spec_dict():
         ({"family": "ghz1", "re": [[1, 0], [0, 0]]}, r"with 'family' takes only .*, not \['re'\]"),
     ]:
         with pytest.raises(ValueError, match=message):
-            load_state(obj)
+            _load(tmp_path, obj)
 
 
 def test_load_matrix_dict_and_errors(tmp_path):
     rho = make_pure("ghz2")
     obj = {"dim": 8, "re": rho.real.tolist(), "im": rho.imag.tolist()}
-    assert np.abs(load_state(obj) - rho).max() < 1e-15
+    assert np.abs(_load(tmp_path, obj) - rho).max() < 1e-15
     with pytest.raises((ValueError, StateValidationError, KeyError)):
-        load_state({"dim": 8, "re": np.eye(8).tolist()[:4]})
+        _load(tmp_path, {"dim": 8, "re": np.eye(8).tolist()[:4]})
     # an im of another shape than re is an error, not a broadcast
     for im in ([[0.0]], [0.0] * 8):
         with pytest.raises(ValueError, match=r"'im' has shape .* 're' has shape \(8, 8\)"):
-            load_state({"dim": 8, "re": (np.eye(8) / 8).tolist(), "im": im})
+            _load(tmp_path, {"dim": 8, "re": (np.eye(8) / 8).tolist(), "im": im})
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     with pytest.raises((ValueError, json.JSONDecodeError)):
         load_state(p)
     with pytest.raises(ValueError, match=r"'re' must be a two-dimensional array, got shape \(\)"):
-        load_state({"re": 5})
+        _load(tmp_path, {"re": 5})
     # a family weight next to a matrix would be silently ignored
     with pytest.raises(ValueError, match=r"with 're' takes only .*, not \['alpha'\]"):
-        load_state({"re": (np.eye(8) / 8).tolist(), "alpha": 0.3})
+        _load(tmp_path, {"re": (np.eye(8) / 8).tolist(), "alpha": 0.3})
     for text, kind in (("7", "int"), ('"re"', "str"), ("[]", "list")):
         p.write_text(text)
         with pytest.raises(ValueError, match=f"state JSON must be an object, got {kind}"):

@@ -13,7 +13,7 @@ import sgadmem
 from sgadmem.channel import SgadParams, asymptotic_state
 from sgadmem.linalg import BIPARTITIONS, CUT_A, hermitian_eigenvalues, partial_transpose, tensor
 from sgadmem.sdp import solve
-from sgadmem.states import make_noisy, make_pure, validate
+from sgadmem.states import StateValidationError, make_noisy, make_pure, validate
 from sgadmem.witness import (
     _PT_INDEX,
     GMN_EPS,
@@ -334,11 +334,6 @@ def test_unreachable_tolerance_raises_no_warning():
     assert report.lower <= (7 * 0.45 - 3) / 4 <= report.upper
 
 
-def test_gmn_status_propagation():
-    report = gmn(make_pure("w"), max_iter=3)
-    assert report.status == "max-iterations"
-
-
 # -- X-state criterion --------------------------------------------------------
 
 def test_xstate_examples():
@@ -353,6 +348,14 @@ def test_xstate_examples():
     assert not rep.violated
     rep = xstate_criterion(np.eye(8) / 8)[0]
     assert rep.lhs == 0.0 and not rep.violated
+
+
+def test_xstate_and_gmn_reject_other_shapes():
+    # both validate first, so a matrix of another size is named, not indexed
+    for rho in (np.eye(2) / 2, np.eye(4) / 4, np.eye(16) / 16):
+        for measure in (xstate_criterion, gmn):
+            with pytest.raises(StateValidationError, match=r"not an 8x8 matrix: shape \((\d+), \1\)"):
+                measure(rho)
 
 
 def test_xstate_other_pairs():
@@ -547,7 +550,7 @@ def test_threshold_scan_finer_than_float_spacing_ends(monkeypatch):
 
 
 def test_threshold_scan_undecided_probe():
-    # the first probe has E = (7 * 0.5 - 3)/4 = 0.125 exactly, so its bracket
-    # straddles eps
-    result = threshold_scan(noisy_ghz1, (0.5, 0.7), eps=0.125)
+    # the first probe has E = (7 alpha - 3)/4 = GMN_EPS up to rounding, so its
+    # certified bracket straddles GMN_EPS
+    result = threshold_scan(noisy_ghz1, ((3 + 4 * GMN_EPS) / 7, 0.7))
     assert result.status == "undecided"
