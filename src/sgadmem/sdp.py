@@ -48,8 +48,10 @@ which 0.98 (or FINAL_STEP) is taken, at most 1. The predictor direction
 solves dX + W dS W = -X, which in the frames reads Dx = -I - Ds, so one
 eigvalsh of Ds gives both its steps, with lambda_min(Dx) = -1 -
 lambda_max(Ds); the corrector's two pairs come from one eigvalsh over both
-frames. A block without a Cholesky factor is factored with a trace ridge
-of 1e-12 and scores centrality 0.
+frames. An iterate with a block of X or S that has no Cholesky factor
+ends the solve "numerical-failure" and is returned: a start must be strictly
+positive definite and every step stops short of the boundary, so only
+rounding leaves the cone's interior.
 
 A problem has k blocks of one size d, so every block quantity (C, X, S,
 W, a direction) is one (k, d, d) array, and the NT scaling, centrality,
@@ -107,35 +109,17 @@ def _tr2(a, b):
     return float(np.sum(a.conj() * b).real)
 
 
-def _factor(V):
-    """Cholesky factors V_b = L_b L_b^H of blocks V_b > 0, and whether every
-    block had one. A V_b without a Cholesky factor gets a trace ridge of
-    1e-12."""
-    try:
-        return np.linalg.cholesky(V), True
-    except np.linalg.LinAlgError:
-        return np.array([_ridged_cholesky(v) for v in V]), False
-
-
-def _ridged_cholesky(v):
-    try:
-        return np.linalg.cholesky(v)
-    except np.linalg.LinAlgError:
-        d = v.shape[0]
-        return np.linalg.cholesky(v + 1e-12 * np.trace(v).real / d * np.eye(d))
-
-
 def _scaling(X, S):
     """NT points W, S^{-1}, min_b lambda_min(Lx_b^H S_b Lx_b) and the NT
     frames R = (Rx, Rs), stacked (2k, d, d), from one Cholesky pair and one
-    SVD (see the module docstring). The third value is 0 if a block of X or
-    S has no Cholesky factor."""
-    (Lx, x_ok), (Ls, s_ok) = _factor(X), _factor(S)
+    SVD (see the module docstring). Raises LinAlgError if a block of X or S
+    has no Cholesky factor."""
+    Lx, Ls = np.linalg.cholesky(X), np.linalg.cholesky(S)
     U, sv, Vh = np.linalg.svd(_h(Ls) @ Lx)
     r = np.sqrt(sv)[..., None, :]
     G = (Lx @ _h(Vh)) / r
     Rs = G / r
-    lam = sv[:, -1].min() ** 2 if x_ok and s_ok else 0.0
+    lam = sv[:, -1].min() ** 2
     return _sym(G @ _h(G)), _sym(Rs @ _h(Rs)), lam, np.concatenate([(Ls @ U) / r**2, Rs])
 
 

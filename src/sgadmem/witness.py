@@ -17,7 +17,7 @@ The SDP is solved in-house (sdp module) in its native form: the dual
 (LMI) side of the standard form, over the coordinates of W, Q_A, Q_B and
 Q_C in the normalized Pauli basis (256 rows), with twelve 8x8 Hermitian
 slack blocks, P_M and I - P_M with P_M = W - Q_M^{T_M}, and Q_M and
-I - Q_M. Only b and the start depend on the state. _WitnessProgram
+I - Q_M. Only b and the start's X0 depend on the state. _WitnessProgram
 derives the program and states the arrow algebra of its real Schur
 system. Both sides have a strictly feasible start in closed form
 (W = I/2, Q_M = I/4), which keeps every iterate feasible and the duality
@@ -119,6 +119,11 @@ def _coords(v):
     return (v @ _T.conj()).real
 
 
+# C = [0, I, 0, I] on every cut, the same for every program (the start's y0
+# and S0 follow the class)
+_C = np.array([np.zeros((8, 8)), np.eye(8)] * 6)
+
+
 class _WitnessProgram:
     """The witness SDP for rho as the LMI side of sdp's standard form.
 
@@ -176,12 +181,11 @@ class _WitnessProgram:
     in again.
     """
 
+    C = _C
     # read only by the benchmark's tracer; it goes with the benchmark's next change
     block_dims = [8] * 12
 
     def __init__(self, rho):
-        eye = np.eye(8)
-        self.C = np.array([0 * eye, eye] * 6)
         self.b = np.concatenate([-_coords(rho.reshape(64)), np.zeros(192)])
         # overwritten by every call: arrow's blocks, and factor's ridged blocks and G
         self._arrow = np.empty((64, 64)), np.empty((3, 64, 64)), np.empty((3, 64, 64))
@@ -192,7 +196,8 @@ class _WitnessProgram:
         c = _coords(np.concatenate([X[:, 0] - X[:, 1], X[:, 3] - X[:, 2]]))
         return np.concatenate([-c[:3].sum(axis=0), _S * c[:3] + c[3:]], axis=None)
 
-    def adjoint(self, y):
+    @staticmethod
+    def adjoint(y):
         y = y.reshape(4, 64)
         v = np.concatenate([_S * y[1:] - y[0], y[1:]]) @ _T.T  # vec(Q_M^{T_M} - W), vec(Q_M)
         P, Q = v[:3], v[3:]
@@ -243,17 +248,21 @@ class _WitnessProgram:
         return float(trace), factor
 
 
+# The start's dual side, the same for every state: y0 gives W = I/2 and
+# Q_M = I/4, and S0 = C - adjoint(y0)
+_Y0 = _coords(np.array([np.eye(8) / 2] + [np.eye(8) / 4] * 3).reshape(4, 64)).ravel()
+_S0 = _C - _WitnessProgram.adjoint(_Y0)
+_C.flags.writeable = _Y0.flags.writeable = _S0.flags.writeable = False  # shared by every program
+
+
 def _witness_program(rho):
-    """The witness program for rho and a strictly feasible start (X0, y0,
-    S0): y0 gives W = I/2 and Q_M = I/4, and X0 on cut M is
-    [rho/3 + I/2, I/2, rho^{T_M}/3 + I/2, I/2], which meets the equality
-    constraints since tr(H^{T_M} rho) = tr(H rho^{T_M})."""
-    problem = _WitnessProgram(rho)
+    """The witness program for rho and a strictly feasible start (X0, _Y0,
+    _S0): X0 on cut M is [rho/3 + I/2, I/2, rho^{T_M}/3 + I/2, I/2], which
+    meets the equality constraints since tr(H^{T_M} rho) = tr(H rho^{T_M})."""
     eye = np.eye(8)
     X0 = np.array([[rho / 3 + eye / 2, eye / 2, partial_transpose(rho, cut) / 3 + eye / 2, eye / 2]
                    for cut in BIPARTITIONS])
-    y0 = _coords(np.array([eye / 2, eye / 4, eye / 4, eye / 4]).reshape(4, 64)).ravel()
-    return problem, (X0.reshape(12, 8, 8), y0, problem.C - problem.adjoint(y0))
+    return _WitnessProgram(rho), (X0.reshape(12, 8, 8), _Y0, _S0)
 
 
 @dataclass

@@ -246,22 +246,14 @@ def test_every_dataclass_field_is_read():
     assert not unread, f"nothing reads the dataclass fields {unread}"
 
 
-def _defaulted_parameters():
-    # (callee, position, name) for each defaulted parameter of a public
-    # module-level function and each defaulted __init__ field of a dataclass
-    # in the package; position is None for a keyword-only parameter
+def _dataclass_defaults():
+    # (class, position, field) for each defaulted __init__ field of a
+    # dataclass in the package
     found = []
     for p in SRC.glob("*.py"):
         for node in ast.parse(p.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                a = node.args
-                positional = a.posonlyargs + a.args
-                first = len(positional) - len(a.defaults)
-                found += [(node.name, i, arg.arg) for i, arg in enumerate(positional) if i >= first]
-                found += [(node.name, None, arg.arg)
-                          for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
-            elif isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d)
-                                                          for d in node.decorator_list):
+            if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d)
+                                                      for d in node.decorator_list):
                 fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
                           and "init=False" not in ast.unparse(s)]
                 found += [(node.name, i, s.target.id) for i, s in enumerate(fields)
@@ -290,10 +282,12 @@ def _call_index(files):
 
 
 def test_every_public_default_is_set_by_a_caller():
-    # a default that no call in the package, its tests or its benchmark
-    # harness ever overrides is a knob nothing turns
+    # a dataclass field default that no call in the package, its tests or
+    # its benchmark harness ever overrides is a knob nothing turns; the
+    # defaults of defs are test_every_default_is_set_by_a_caller's, which
+    # asks more of them
     calls = _call_index(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
-    unset = sorted(f"{callee}({name}=...)" for callee, position, name in _defaulted_parameters()
+    unset = sorted(f"{callee}({name}=...)" for callee, position, name in _dataclass_defaults()
                    if not any(_passes(c, position, name) for c in calls.get(callee, [])))
     assert not unset, f"no call passes {unset}"
 
@@ -315,7 +309,8 @@ def _defaults():
     # with a default of every def in the package, nested and methods too;
     # position counts the arguments of a call, so a method's self is not
     # one, and is None for a keyword-only parameter. Dataclass field
-    # defaults are not parameters of a def, and are out of scope here.
+    # defaults are not parameters of a def: the test of public defaults
+    # above checks them.
     found = {}
     for p in SRC.glob("*.py"):
         tree = ast.parse(p.read_text())

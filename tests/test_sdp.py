@@ -108,19 +108,13 @@ def _ref_schur(problem, Ws):
 def _ref_centrality(X, S, mu):
     lam = np.inf
     for x, s in zip(X, S):
-        try:
-            L = np.linalg.cholesky(x)
-        except np.linalg.LinAlgError:
-            return 0.0
+        L = np.linalg.cholesky(x)
         lam = min(lam, np.linalg.eigvalsh(L.conj().T @ s @ L)[0])
     return lam / mu
 
 
 def _ref_max_step(v, dv):
-    try:
-        L = np.linalg.cholesky(v)
-    except np.linalg.LinAlgError:
-        L = np.linalg.cholesky(v + 1e-12 * np.trace(v).real / v.shape[0] * np.eye(v.shape[0]))
+    L = np.linalg.cholesky(v)
     Y = np.linalg.solve(L, dv)
     lam = np.linalg.eigvalsh(sym(np.linalg.solve(L, Y.conj().T)))[0]
     return np.inf if lam >= 0.0 else -1.0 / lam
@@ -333,7 +327,7 @@ def test_witness_schur_matches_generic(monkeypatch):
 
 def test_witness_tables_are_read_only():
     # built once at import and shared by every program
-    for name in ("_T", "_S", "_LEFT", "_RIGHT", "_SRC", "_SIGN", "_SS"):
+    for name in ("_T", "_S", "_LEFT", "_RIGHT", "_SRC", "_SIGN", "_SS", "_C", "_Y0", "_S0"):
         table = getattr(witness, name)
         assert not table.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
@@ -454,9 +448,10 @@ def test_factor_kernel_matches_eigh_reference():
         assert max(ref) < 1.0
         for got, stacked, want in zip(_predictor_steps(R, dS), _steps(R, dX, dS)[0], ref):
             assert abs(got - want) <= 1e-10 * want and abs(got - stacked) <= 1e-10 * want
-    # an X block without a Cholesky factor scores centrality 0
+    # an X block without a Cholesky factor has no NT scaling
     X[0] = np.diag([1.0] * 7 + [0.0])
-    assert _scaling(X, S)[2] == 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _scaling(X, S)
 
 
 def assert_matches_reference(problem, sol):
@@ -622,6 +617,17 @@ def test_non_finite_start_is_a_numerical_failure():
     X0 = np.eye(4)[None].copy()
     X0[0, 0, 0] = np.inf  # one entry, so no 0 * inf is formed
     y0, S0 = np.zeros(1), np.eye(4)[None]
+    sol = solve(prob, start=(X0, y0, S0))
+    assert sol.status == "numerical-failure" and sol.iterations == 0
+    assert np.array_equal(sol.X, X0) and np.array_equal(sol.y, y0) and np.array_equal(sol.S, S0)
+
+
+def test_start_without_a_cholesky_factor_is_a_numerical_failure():
+    # a start on the boundary of the cone: X0 has no Cholesky factor, so the
+    # first iteration has no NT scaling
+    rng = np.random.default_rng(11)
+    prob = min_eig_problem(sym(rng.normal(size=(4, 4))))
+    X0, y0, S0 = np.diag([1.0, 1.0, 1.0, 0.0])[None], np.zeros(1), np.eye(4)[None]
     sol = solve(prob, start=(X0, y0, S0))
     assert sol.status == "numerical-failure" and sol.iterations == 0
     assert np.array_equal(sol.X, X0) and np.array_equal(sol.y, y0) and np.array_equal(sol.S, S0)
