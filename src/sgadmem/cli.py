@@ -36,6 +36,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -272,11 +273,13 @@ def _run_asymptotic(args):
     rhos = np.array(by_n).transpose(2, 0, 1, 3, 4).reshape(-1, 8, 8)
     keys = [(args.family, w, n, mu) for w in weights for n in args.n for mu in mus]
     measure = functools.partial(_measure_row, tol=args.tol)
-    # a fork-started pool forks every worker on the first submit
+    # a fork-started pool forks every worker on the first submit, so it
+    # starts at most one per row and one per CPU
     workers = min(args.workers, len(keys))
     if workers > 1:
         import concurrent.futures  # here, so that an in-line sweep does not pay its import
 
+        workers = min(workers, os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             measured = list(pool.map(measure, rhos, chunksize=8))
     else:

@@ -31,10 +31,9 @@ interior-point iteration; see _bracket.
 
 Also here: bipartite negativity, the antidiagonal coherence-vs-populations
 inequality for X-shaped states (xstate_criterion, one CriterionReport per
-antidiagonal pair), its closed form on the t -> inf GHZ1 state, reported
-the same way as pair (1, 8), and a bisection for the gmn threshold along
-a line of states. This module builds no state: the scan takes its states
-from the caller, so nothing here depends on the channel module.
+antidiagonal pair), and a bisection for the gmn threshold along a line of
+states. This module builds no state: the scan takes its states from the
+caller, so nothing here depends on the channel module.
 """
 
 import math
@@ -75,6 +74,9 @@ _T = _H.reshape(64, 64).T.copy()
 # tr(H_k^{T_M} H_k^H) = _S[M, k], exactly +-1 after rounding, since tr(H_k H_k^H) = 1
 _S = np.rint(np.array([(partial_transpose(_H, cut) * _H.conj()).sum(axis=(1, 2)).real
                        for cut in BIPARTITIONS]))
+# rho.reshape(64)[_PT_INDEX] is the (3, 8, 8) stack of rho's partial
+# transposes, one per cut of BIPARTITIONS
+_PT_INDEX = np.array([partial_transpose(np.arange(64).reshape(8, 8), cut) for cut in BIPARTITIONS])
 
 # The gathers, the output map and the signs s_M[k] s_M[k'] of
 # _WitnessProgram.arrow.
@@ -92,7 +94,7 @@ _SRC = ((_zz * 36 + _pair[_X, _Xp]) * 2 + _n % 2).reshape(64, 64)
 # Re(i^n G) is Re G, -Im G, -Re G, Im G for n = 0..3
 _SIGN = (np.array([1.0, -1.0, -1.0, 1.0])[_n % 4] / 8.0).reshape(64, 64)
 _SS = _S[:, :, None] * _S[:, None, :]
-for _table in (_T, _S, _LEFT, _RIGHT, _SRC, _SIGN, _SS):
+for _table in (_T, _S, _PT_INDEX, _LEFT, _RIGHT, _SRC, _SIGN, _SS):
     _table.flags.writeable = False  # shared by every program
 del _k, _x, _z, _b, _H, _xp, _d, _pair, _X, _Z, _Xp, _Zp, _n, _zz, _table
 
@@ -260,8 +262,8 @@ def _witness_program(rho):
     _S0): X0 on cut M is [rho/3 + I/2, I/2, rho^{T_M}/3 + I/2, I/2], which
     meets the equality constraints since tr(H^{T_M} rho) = tr(H rho^{T_M})."""
     eye = np.eye(8)
-    X0 = np.array([[rho / 3 + eye / 2, eye / 2, partial_transpose(rho, cut) / 3 + eye / 2, eye / 2]
-                   for cut in BIPARTITIONS])
+    X0 = np.array([[rho / 3 + eye / 2, eye / 2, pt / 3 + eye / 2, eye / 2]
+                   for pt in rho.reshape(64)[_PT_INDEX]])
     return _WitnessProgram(rho), (X0.reshape(12, 8, 8), _Y0, _S0)
 
 
@@ -287,7 +289,7 @@ class GmnReport:
     xstate: list
 
 
-def _bracket(problem, sol, y0, rho, ppt_upper):
+def _bracket(problem, sol, rho, ppt_upper):
     """The certified bracket lower <= E <= upper of gmn, in closed form: a
     feasible witness gives a lower bound and, by weak duality, a feasible
     primal point an upper bound.
@@ -303,9 +305,9 @@ def _bracket(problem, sol, y0, rho, ppt_upper):
     replaces. Otherwise, around its approximate solution sol:
 
     lower: the final y may leave some slack block slightly indefinite. With
-    delta its worst negative eigenvalue over the twelve blocks and y0's
-    slacks all >= I/4, the mix y' = (1 - theta) y + theta y0 with
-    theta = delta / (delta + 1/4) is feasible, so E >= max(0, 2 b^T y').
+    delta its worst negative eigenvalue over the twelve blocks and the
+    start _Y0's slacks all >= I/4, the mix y' = (1 - theta) y + theta _Y0
+    with theta = delta / (delta + 1/4) is feasible, so E >= max(0, 2 b^T y').
     upper: put the residual of the W rows, rho - sum_M (X1_M - X2_M), into
     X1_A; set X3_M = (X1_M - X2_M)^{T_M} + X4_M, which clears the Q_M rows;
     then shift each pair (X1_M, X2_M) and (X3_M, X4_M) by t I, which keeps
@@ -318,24 +320,18 @@ def _bracket(problem, sol, y0, rho, ppt_upper):
     if np.isfinite(slacks).all():
         delta = max(0.0, -float(np.linalg.eigvalsh(slacks)[:, 0].min()))
         theta = delta / (delta + 0.25)
-        dual = (1.0 - theta) * float(problem.b @ sol.y) + theta * float(problem.b @ y0)
+        dual = (1.0 - theta) * float(problem.b @ sol.y) + theta * float(problem.b @ _Y0)
         lower = max(0.0, 2.0 * dual)
     X = sol.X.reshape(3, 4, 8, 8).transpose(1, 0, 2, 3).copy()
     X1, X2, X3, X4 = X  # views: the repairs below write into X
     X1[0] += rho - (X1 - X2).sum(axis=0)
-    for k, cut in enumerate(BIPARTITIONS):
-        X3[k] = partial_transpose(X1[k] - X2[k], cut) + X4[k]
+    X3[:] = (X1 - X2).reshape(3, 64)[np.arange(3)[:, None, None], _PT_INDEX] + X4
     if np.isfinite(X).all():
         lam = np.linalg.eigvalsh(X)[..., 0]  # (4, 3): matrix, cut
         shift = np.maximum(0.0, -np.minimum(lam[0::2], lam[1::2]))  # (X1, X2) and (X3, X4) per cut
         pobj = float(np.trace(X2 + X4, axis1=1, axis2=2).real.sum()) + 8.0 * float(shift.sum())
         upper = min(upper, max(0.0, 2.0 * pobj))
     return lower, upper
-
-
-# rho.reshape(64)[_PT_INDEX] is the (3, 8, 8) stack of rho's partial
-# transposes, one per cut of BIPARTITIONS
-_PT_INDEX = np.array([partial_transpose(np.arange(64).reshape(8, 8), cut) for cut in BIPARTITIONS])
 
 
 def gmn(rho, *, tol=1e-8):
@@ -365,7 +361,7 @@ def gmn(rho, *, tol=1e-8):
                          xstate=xstate)
     problem, start = _witness_program(rho)
     sol = solve(problem, tol=tol, start=start)
-    lower, upper = _bracket(problem, sol, start[1], rho, 16.0 * eps_ppt)
+    lower, upper = _bracket(problem, sol, rho, 16.0 * eps_ppt)
     return GmnReport(
         value=max(0.0, 2.0 * sol.dual_obj),
         witness=(_T @ sol.y[:64]).reshape(8, 8),
@@ -423,30 +419,6 @@ def _xstate_reports(rho):
 def _criterion(lhs, rhs):
     margin = lhs - rhs
     return CriterionReport(lhs=lhs, rhs=rhs, margin=margin, violated=bool(margin > MARGIN_TOL))
-
-
-def asymptotic_ghz1_criterion(alpha, n, mu):
-    """xstate_criterion's pair (1, 8) in closed form, for the t -> inf state
-    of a GHZ-plus-white-noise mixture under the memory channel: lhs is the
-    surviving coherence and rhs the populations' bound,
-
-        lhs = (n(1+n))^{3/2} alpha (1-mu) / (1+2n)^3,    rhs = 3 sqrt(u v),
-        u = n^2(1+n)(1-mu)/(1+2n)^3 + mu(1-alpha)/8,
-        v = n(1+n)^2(1-mu)/(1+2n)^3 + mu(1-alpha)/8,
-
-    with margin = lhs - rhs, and violated (the asymptotic state is detected)
-    when margin > MARGIN_TOL.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if n < 0.0:
-        raise ValueError("n must be nonnegative")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
-    den = (1.0 + 2.0 * n) ** 3
-    u = n * n * (1.0 + n) * (1.0 - mu) / den + mu * (1.0 - alpha) / 8.0
-    v = n * (1.0 + n) ** 2 * (1.0 - mu) / den + mu * (1.0 - alpha) / 8.0
-    return _criterion((n * (1.0 + n)) ** 1.5 * alpha * (1.0 - mu) / den, 3.0 * math.sqrt(u * v))
 
 
 # -- threshold location --------------------------------------------------

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from asymptotic_criterion import asymptotic_ghz1_criterion
 from dense_sdp import SdpProblem
 
 from sgadmem import cli
@@ -28,13 +29,7 @@ from sgadmem.channel import (
 from sgadmem.linalg import BIPARTITIONS, partial_transpose, trace_norm
 from sgadmem.sdp import solve
 from sgadmem.states import make_noisy, make_pure, validate
-from sgadmem.witness import (
-    asymptotic_ghz1_criterion,
-    gmn,
-    negativity,
-    threshold_scan,
-    xstate_criterion,
-)
+from sgadmem.witness import gmn, negativity, threshold_scan, xstate_criterion
 
 
 def random_density(rng, dim=8):

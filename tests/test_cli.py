@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -458,8 +459,10 @@ def test_malformed_input_is_an_input_error(capsys, argv):
     assert "input error" in err
 
 
-def test_worker_pool_is_sized_by_the_task_count(monkeypatch, capsys):
-    # a fake pool: asking for more workers than tasks must not fork them all
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each pool the CLI starts, with a fake pool that
+    maps in-process."""
     sizes = []
 
     class FakePool:
@@ -477,11 +480,28 @@ def test_worker_pool_is_sized_by_the_task_count(monkeypatch, capsys):
 
     # the CLI imports concurrent.futures only where it starts a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+def test_worker_pool_is_sized_by_the_task_count(monkeypatch, capsys, pool_sizes):
+    # asking for more workers than tasks must not fork them all, on a
+    # machine with more CPUs than tasks
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     args = ["asymptotic", "--family", "ghz1", "--n", "1", "--workers", "64"]
     assert run(capsys, args + ["--grid", "0:1:0.5"])[0] == 0
-    assert sizes == [3]
+    assert pool_sizes == [3]
     assert run(capsys, args + ["--mu", "0.5"])[0] == 0
-    assert sizes == [3]  # one task runs without a pool
+    assert pool_sizes == [3]  # one task runs without a pool
+
+
+def test_worker_pool_is_capped_by_the_cpu_count(capsys, pool_sizes):
+    # --workers 1000 on the 101-row README sweep starts at most one worker
+    # per CPU, and prints what one worker prints
+    args = ["asymptotic", "--family", "ghz1", "--n", "1", "--grid", "0:1:0.01"]
+    code, serial, err = run(capsys, args + ["--workers", "1"])
+    assert code == 0 and err == "" and pool_sizes == []
+    assert run(capsys, args + ["--workers", "1000"]) == (0, serial, "")
+    assert pool_sizes == [min(101, os.cpu_count() or 1)]
 
 
 def test_non_finite_channel_inputs_are_input_errors(capsys):

@@ -112,8 +112,6 @@ READ_OUTSIDE = {
                            "one gathered spectrum"),
     "witness.xstate_criterion": ("perfbench/tracing.py", "wrapped by the benchmark "
                                  "tracer's BINDINGS, and tested in tests/test_witness.py"),
-    "witness.asymptotic_ghz1_criterion": ("tests/test_acceptance.py", "the paper's closed "
-                                          "form, the oracle of c10"),
 }
 
 
@@ -262,11 +260,20 @@ def _dataclass_defaults():
 
 
 def _passes(call, position, name):
-    # whether a call passes the parameter by keyword, by position, or
-    # through * or **
-    return (any(kw.arg in (name, None) for kw in call.keywords)
-            or position is not None and (len(call.args) > position
-                                         or any(isinstance(a, ast.Starred) for a in call.args)))
+    # whether a call passes the parameter by keyword, through **, or by
+    # position; a starred literal tuple or list counts as its elements, and
+    # any other starred argument sets no parameter from its position on
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    count = 0
+    for arg in call.args:
+        if not isinstance(arg, ast.Starred):
+            count += 1
+        elif isinstance(arg.value, (ast.Tuple, ast.List)):
+            count += len(arg.value.elts)
+        else:
+            break
+    return position is not None and count > position
 
 
 def _call_index(files):

@@ -327,7 +327,8 @@ def test_witness_schur_matches_generic(monkeypatch):
 
 def test_witness_tables_are_read_only():
     # built once at import and shared by every program
-    for name in ("_T", "_S", "_LEFT", "_RIGHT", "_SRC", "_SIGN", "_SS", "_C", "_Y0", "_S0"):
+    for name in ("_T", "_S", "_PT_INDEX", "_LEFT", "_RIGHT", "_SRC", "_SIGN", "_SS", "_C", "_Y0",
+                 "_S0"):
         table = getattr(witness, name)
         assert not table.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):

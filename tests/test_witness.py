@@ -7,8 +7,10 @@ import sys
 import tracemalloc
 import warnings
 
+import corpus
 import numpy as np
 import pytest
+from asymptotic_criterion import asymptotic_ghz1_criterion
 
 import sgadmem
 from sgadmem.channel import SgadParams, asymptotic_state
@@ -17,11 +19,11 @@ from sgadmem.sdp import solve
 from sgadmem.states import StateValidationError, make_noisy, make_pure, validate
 from sgadmem.witness import (
     _PT_INDEX,
+    _Y0,
     GMN_EPS,
     XSTATE_PAIRS,
     _bracket,
     _witness_program,
-    asymptotic_ghz1_criterion,
     gmn,
     negativity,
     threshold_scan,
@@ -219,13 +221,9 @@ def test_pure_w_asymptote_solves_optimal():
 # 2 BLAS threads, each numerical-failure when rounding takes an X or S block
 # of the iterate out of the cone: two W betas next to the W threshold (after
 # 39 and 22 iterations) and two GHZ1 alphas next to 3/7 (after 12 and 15)
-W_BETAS, GHZ1_OFFSETS = np.linspace(0.5205, 0.5215, 201), np.logspace(-9, -5, 17)
-HARD_STATES = {
-    "w-101": make_noisy("w", beta=float(W_BETAS[101])),
-    "w-103": make_noisy("w", beta=float(W_BETAS[103])),
-    "ghz1-plus-8": make_noisy("ghz1", alpha=float(3 / 7 + GHZ1_OFFSETS[8])),
-    "ghz1-minus-7": make_noisy("ghz1", alpha=float(3 / 7 - GHZ1_OFFSETS[7])),
-}
+NEAR_THRESHOLDS = {**corpus.wbeta(), **corpus.ghz1()}
+HARD_STATES = {name: NEAR_THRESHOLDS[name]
+               for name in ("w-101", "w-103", "ghz1-plus-8", "ghz1-minus-7")}
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the solve ends numerical-failure")
@@ -243,6 +241,22 @@ def test_hard_corpus_state_stops_early_inside_its_bracket(name):
     assert report.iterations < inspect.signature(solve).parameters["max_iter"].default
     assert report.lower <= report.value <= report.upper
     assert report.lower > GMN_EPS or name.startswith("ghz1")
+
+
+def test_corpus_near_the_thresholds_fails_only_on_its_hard_states():
+    # corpus parts (b), GHZ1 next to 3/7 (34 states, 247 iterations), and
+    # (d), the pure-W asymptotes at n = 0.1 and mu in [0.9, 1] (11 states,
+    # 187 iterations): no state outside HARD_STATES ends non-optimal, and
+    # every bracket holds its value
+    states = {**corpus.ghz1(), **corpus.purew()}
+    assert len(states) == 45
+    failed = set()
+    for name, rho in states.items():
+        report = gmn(rho)
+        assert report.lower <= report.value <= report.upper, name
+        if report.status != "optimal":
+            failed.add(name)
+    assert failed <= {name for name in HARD_STATES if name.startswith("ghz1")}, failed
 
 
 def test_gmn_ghz_werner_values():
@@ -306,12 +320,48 @@ def test_ppt_short_circuit_agrees_with_full_solve():
         assert max(0.0, 2.0 * sol.dual_obj) <= 1e-8
 
 
+def reference_bracket(problem, sol, rho, ppt_upper):
+    # _bracket with its X3 repair made cut by cut by partial_transpose
+    lower, upper = 0.0, ppt_upper
+    slacks = problem.C - problem.adjoint(sol.y)
+    if np.isfinite(slacks).all():
+        delta = max(0.0, -float(np.linalg.eigvalsh(slacks)[:, 0].min()))
+        theta = delta / (delta + 0.25)
+        dual = (1.0 - theta) * float(problem.b @ sol.y) + theta * float(problem.b @ _Y0)
+        lower = max(0.0, 2.0 * dual)
+    X = sol.X.reshape(3, 4, 8, 8).transpose(1, 0, 2, 3).copy()
+    X1, X2, X3, X4 = X
+    X1[0] += rho - (X1 - X2).sum(axis=0)
+    for k, cut in enumerate(BIPARTITIONS):
+        X3[k] = partial_transpose(X1[k] - X2[k], cut) + X4[k]
+    if np.isfinite(X).all():
+        lam = np.linalg.eigvalsh(X)[..., 0]
+        shift = np.maximum(0.0, -np.minimum(lam[0::2], lam[1::2]))
+        pobj = float(np.trace(X2 + X4, axis1=1, axis2=2).real.sum()) + 8.0 * float(shift.sum())
+        upper = min(upper, max(0.0, 2.0 * pobj))
+    return lower, upper
+
+
 def test_gathered_partial_transposes_match_partial_transpose():
+    # the gather against partial_transpose, and the start's X0 and the
+    # bracket's repair, which use it, against their per-cut constructions
     rng = np.random.default_rng(21)
+    eye = np.eye(8)
     for _ in range(5):
-        rho = random_qubit_state(rng, 8)
+        rho = validate(random_qubit_state(rng, 8))
         expect = np.array([partial_transpose(rho, cut) for cut in BIPARTITIONS])
         assert rho.reshape(64)[_PT_INDEX].tobytes() == expect.tobytes()
+        problem, start = _witness_program(rho)
+        X0 = np.array([[rho / 3 + eye / 2, eye / 2, partial_transpose(rho, cut) / 3 + eye / 2,
+                        eye / 2] for cut in BIPARTITIONS]).reshape(12, 8, 8)
+        assert start[0].dtype == X0.dtype and start[0].tobytes() == X0.tobytes()
+        for max_iter in (2, 5):
+            sol = solve(problem, start=start, max_iter=max_iter)
+            assert sol.iterations == max_iter
+            got = _bracket(problem, sol, rho, math.inf)
+            want = reference_bracket(problem, sol, rho, math.inf)
+            assert math.isfinite(got[1])
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
 
 
 def test_gmn_xstate_reports_match_xstate_criterion():
@@ -344,7 +394,7 @@ def test_bracket_of_a_non_finite_iterate():
     sol = solve(problem, start=start, max_iter=2)
     sol.X[5][0, 0] = np.nan
     sol.y[70] = np.nan
-    assert _bracket(problem, sol, start[1], rho, 0.7) == (0.0, 0.7)
+    assert _bracket(problem, sol, rho, 0.7) == (0.0, 0.7)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
