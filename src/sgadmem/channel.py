@@ -334,11 +334,11 @@ def choi_matrix(p, t, mode, mu=0.0):
 
     Built as the reshuffle of the map's superoperator S:
     choi[i*d + a, j*d + b] = S[a*d + b, i*d + j] / d.
-    The map is completely positive iff the minimum eigenvalue is >= -1e-8;
-    a negative value is a returned diagnostic, never an exception. The
-    matrix is read from the same builders as the maps, so a mode that reads
-    the operator set ("uncorrelated-single", and "memory-3q" at mu < 1)
-    raises CpViolationError outside its domain, as kraus_single does.
+    The map is completely positive iff the matrix is positive semidefinite;
+    the CLI's validate passes it at a minimum eigenvalue >= -1e-10. It is
+    read from the same builders as the maps, so a mode that reads the
+    operator set ("uncorrelated-single", and "memory-3q" at mu < 1) raises
+    CpViolationError outside its domain, as kraus_single does.
     """
     if mode == "uncorrelated-single":
         s, dim = _single_superop(kraus_single(p, t)), 2

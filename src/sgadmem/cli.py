@@ -142,7 +142,7 @@ def _weights(args, family):
 
 def _state_from_args(args):
     """Initial state from --family (+ --alpha/--beta) or a file path, not both."""
-    if getattr(args, "source", None):
+    if args.source:
         given = [flag for flag in STATE if getattr(args, flag[2:]) is not None]
         if given:
             raise ValueError(f"a state file replaces {', '.join(given)}; give one or the other")
@@ -157,8 +157,7 @@ def _measure_row(rho, tol):
     """gmn + negativities + worst antidiagonal margin for one state: the
     largest margin of the four X-state pairs that gmn's report carries."""
     report = gmn(rho, tol=tol)
-    negs = report.negativities
-    return (report.value, negs["A|BC"], negs["B|AC"], negs["C|AB"],
+    return (report.value, *report.negativities.values(),
             max(r.margin for r in report.xstate), report.status)
 
 
@@ -354,7 +353,7 @@ def _run_scan(args):
     return 0 if result.status == "optimal" else 3
 
 
-# each option once; a subcommand takes only the options it reads
+# each argument once; a subcommand takes only the arguments it reads
 OPTIONS = {
     "--n": dict(default=(1.0,), help="bath occupation (comma list where a sweep applies)"),
     "--m": dict(default=(0.0,), help="squeezing parameter (default 0)"),
@@ -368,6 +367,9 @@ OPTIONS = {
     "--workers": dict(type=int, default=1),
     "--tol": dict(type=float, default=1e-8, help="solver tolerance"),
     "--format": dict(choices=("csv", "json"), default="csv"),
+    "source": dict(nargs="?", default=None, help="JSON state file (alternative to --family)"),
+    "--scan": dict(choices=("alpha", "beta", "mu"), required=True),
+    "--asymptotic": dict(action="store_true", help="probe t -> inf states instead of initial mixtures"),
 }
 STATE = ("--family", "--alpha", "--beta")
 # comma lists of numbers, read in main so that a malformed one is an input
@@ -385,32 +387,25 @@ def build_parser():
                     "multipartite entanglement measures.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, help, run, flags, source=False):
+    def subcommand(name, help, run, flags):
         # no abbreviations: asymptotic has --mu but no --m, which would
         # otherwise be read as --mu
         sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.set_defaults(run=run)
         for flag in flags:
             sp.add_argument(flag, **OPTIONS[flag])
-        if source:
-            sp.add_argument("source", nargs="?", default=None,
-                            help="JSON state file (alternative to --family)")
         return sp
 
     subcommand("validate", "channel self-checks", _run_validate,
                ("--n", "--m", "--omega-t", "--format"))
     subcommand("evolve", "time-resolved measures", _run_evolve,
-               STATE + ("--n", "--m", "--mu", "--omega-t", "--tol", "--out", "--format"),
-               source=True)
+               STATE + ("--n", "--m", "--mu", "--omega-t", "--tol", "--out", "--format", "source"))
     subcommand("asymptotic", "t -> inf parameter sweep", _run_asymptotic,
                STATE + ("--n", "--mu", "--grid", "--workers", "--tol", "--out", "--format"))
     subcommand("gmn", "genuine negativity of one state", _run_gmn,
-               STATE + ("--tol", "--out", "--format"), source=True)
+               STATE + ("--tol", "--out", "--format", "source"))
     s = subcommand("scan", "bisect for a gmn threshold", _run_scan,
-                   STATE + ("--n", "--mu", "--grid", "--tol"))
-    s.add_argument("--scan", choices=("alpha", "beta", "mu"), required=True)
-    s.add_argument("--asymptotic", action="store_true",
-                   help="probe t -> inf states instead of initial mixtures")
+                   STATE + ("--n", "--mu", "--grid", "--tol", "--scan", "--asymptotic"))
     s.set_defaults(n=None)  # so that a --n without --asymptotic is seen
     p.subcommands = sub.choices  # name -> subparser, for main
     return p

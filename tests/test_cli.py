@@ -439,24 +439,39 @@ def test_out_of_range_input_is_an_input_error(capsys, argv):
     assert "input error" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["scan", "--family", "ghz1", "--scan", "alpha", "--grid", "0.6:0.9:0.05:junk"],
-    ["asymptotic", "--family", "ghz1", "--n", "1", "--grid", "0:inf:0.5"],
-    ["asymptotic", "--family", "ghz1", "--n", "1", "--mu", "0.3", "--grid", "0:1:0.5"],
-    ["gmn", "--family", "w", "--tol", "nan"],
-    ["gmn", "--family", "ghz1", "--alpha", "0.2", "--tol", "-1"],
-    ["asymptotic", "--family", "ghz1", "--n", "1", "--mu", "0.5", "--workers", "0"],
-    ["asymptotic", "--family", "ghz1", "--n", "", "--mu", "0.5"],
-    ["asymptotic", "--family", "ghz1", "--n", "1", "--mu", ""],
-    ["asymptotic", "--family", "ghz1", "--n", "1,", "--mu", "0.5"],
-    ["asymptotic", "--family", "ghz1", "--n", "1", "--mu", "0.2,,0.4"],
-    ["evolve", "--family", "ghz1", "--omega-t", "", "--tol", "nan"],
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--family", "ghz1", "--scan", "alpha", "--grid", "0.6:0.9:0.05:junk"],
+     "grid must be LO:HI or LO:HI:RESOLUTION, got 0.6:0.9:0.05:junk"),
+    (["asymptotic", "--family", "ghz1", "--n", "1", "--grid", "0:inf:0.5"],
+     "grid values must be finite, got 0:inf:0.5"),
+    (["asymptotic", "--family", "ghz1", "--n", "1", "--mu", "0.3", "--grid", "0:1:0.5"],
+     "give --mu or --grid, not both"),
+    (["gmn", "--family", "w", "--tol", "nan"], "tol must be finite and positive, got nan"),
+    (["gmn", "--family", "ghz1", "--alpha", "0.2", "--tol", "-1"],
+     "tol must be finite and positive, got -1.0"),
+    (["asymptotic", "--family", "ghz1", "--n", "1", "--mu", "0.5", "--workers", "0"],
+     "--workers must be at least 1, got 0"),
+    (["asymptotic", "--family", "ghz1", "--n", "", "--mu", "0.5"],
+     "--n takes a comma list of numbers, got ''"),
+    (["asymptotic", "--family", "ghz1", "--n", "1", "--mu", ""],
+     "--mu takes a comma list of numbers, got ''"),
+    (["asymptotic", "--family", "ghz1", "--n", "1,", "--mu", "0.5"],
+     "--n takes a comma list of numbers, got '1,'"),
+    (["asymptotic", "--family", "ghz1", "--n", "1", "--mu", "0.2,,0.4"],
+     "--mu takes a comma list of numbers, got '0.2,,0.4'"),
+    (["evolve", "--family", "ghz1", "--omega-t", "", "--tol", "nan"],
+     "--omega-t takes a comma list of numbers, got ''"),
+    (["asymptotic", "--family", "ghz1", "--grid", "1:0:0.1"], "grid needs step > 0 and stop >= start"),
+    (["asymptotic", "--family", "ghz1", "--grid", "0:1:0"], "grid needs step > 0 and stop >= start"),
+    (["asymptotic", "--mu", "0.5"], "need --family"),
+    (["scan", "--scan", "alpha", "--grid", "0.3:0.6"], "need --family"),
+    (["scan", "--family", "ghz1", "--scan", "alpha"], "need --grid LO:HI for the bracket"),
 ], ids=["scan-grid-parts", "grid-inf", "mu-and-grid", "tol-nan", "tol-negative", "workers-0",
-        "n-empty", "mu-empty", "n-empty-token", "mu-empty-token", "omega-t-empty"])
-def test_malformed_input_is_an_input_error(capsys, argv):
-    code, out, err = run(capsys, argv)
-    assert code == 2 and out == ""
-    assert "input error" in err
+        "n-empty", "mu-empty", "n-empty-token", "mu-empty-token", "omega-t-empty",
+        "grid-stop-before-start", "grid-step-0", "asymptotic-no-family", "scan-no-family",
+        "scan-no-grid"])
+def test_malformed_input_is_an_input_error(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"input error: {message}\n")
 
 
 @pytest.fixture
@@ -562,8 +577,9 @@ def test_invalid_state_rejected(tmp_path, capsys):
     ("re", "str"),
     ({"family": "ghz1", "re": [[1, 0], [0, 0]]}, "['re']"),
     ({"re": (np.eye(8) / 8).tolist(), "alpha": 0.3}, "['alpha']"),
+    ({"dim": 8}, "state JSON needs either 'family' or 're'/'im' entries"),
 ], ids=["alpha-str", "alpha-bool", "family-int", "re-scalar", "top-int", "top-str",
-        "family-and-re", "re-and-alpha"])
+        "family-and-re", "re-and-alpha", "neither-family-nor-re"])
 def test_state_file_outside_the_schema_is_an_input_error(tmp_path, capsys, obj, key):
     # each was a traceback with exit 1, or a silently ignored key
     path = tmp_path / "s.json"
@@ -670,6 +686,18 @@ def test_unread_option_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_every_argument_is_declared_in_options():
+    # OPTIONS is the one table of arguments: a subcommand's parser holds
+    # -h and entries of that table, named by first option string or by dest
+    undeclared = []
+    for name, sub in cli.build_parser().subcommands.items():
+        for action in sub._actions:
+            key = action.option_strings[0] if action.option_strings else action.dest
+            if key != "-h" and key not in cli.OPTIONS:
+                undeclared.append((name, key))
+    assert undeclared == []
 
 
 # -- one parser per process ----------------------------------------------------

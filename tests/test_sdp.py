@@ -669,6 +669,25 @@ def test_exhausted_ridge_schedule_is_a_numerical_failure():
     assert prob.ridges == [0.0, first, first * 100, first * 100 * 100]
 
 
+class _HugeSolve(SdpProblem):
+    # every Schur solve returns dy = (0, 1e13), so A*(dy) is indefinite
+    def schur(self, W):
+        return 1.0, lambda ridge: lambda r: np.array([0.0, 1e13])
+
+
+def test_collapsed_steps_are_a_numerical_failure():
+    rng = np.random.default_rng(14)
+    prob = _HugeSolve([sym(rng.normal(size=(4, 4)))],
+                      [np.stack([np.eye(4), np.diag([1.0, -1.0, 1.0, -1.0])])], [1.0, 0.3])
+    # off-centre, so the first iteration is a centering step; along the
+    # solved direction both steps to the boundary are about 1e-13
+    X0 = np.diag([1.0, 1.0, 1.0, 1e-4])[None]
+    sol = solve(prob, start=(X0, np.zeros(2), np.eye(4)[None]))
+    assert sol.status == "numerical-failure" and sol.iterations == 0
+    assert np.array_equal(sol.X, X0) and np.array_equal(sol.y, np.zeros(2))
+    assert np.array_equal(sol.S, np.eye(4)[None])
+
+
 def test_linalg_error_in_an_iteration_is_a_numerical_failure():
     rng = np.random.default_rng(13)
     prob = _SchurRaises([sym(rng.normal(size=(4, 4)))], [np.eye(4)[None]], [1.0])
